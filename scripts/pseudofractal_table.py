@@ -10,7 +10,7 @@ value against all available routes.
 import argparse
 
 from trispectral.graph import generate
-from trispectral.invariants import verify_all
+from trispectral.invariants import VERIFY_MATERIALIZE_CAP, verify_all
 
 
 def main() -> int:
@@ -20,7 +20,7 @@ def main() -> int:
     parser.add_argument(
         "--materialize-cap",
         type=int,
-        default=300,
+        default=VERIFY_MATERIALIZE_CAP,
         help="largest graph materialized for the dense oracle routes",
     )
     args = parser.parse_args()

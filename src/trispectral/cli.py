@@ -27,11 +27,13 @@ from .graph import (
     iterate_triangulation,
     parse_edge_list,
 )
-from .invariants import InvariantReport, VerificationResult, verify_all
+from .invariants import (
+    VERIFY_MATERIALIZE_CAP,
+    InvariantReport,
+    VerificationResult,
+    verify_all,
+)
 from .spectra import ExpansionCapError, descriptor_for, expand_descriptor
-
-# Dense oracle routes in `verify` stop above this vertex count.
-VERIFY_MATERIALIZE_CAP = 300
 
 _FORMATS = ("json", "csv", "text")
 
@@ -93,7 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("invariants", help="invariant table for depths 0..n")
     add_common(sp, with_n=True, default_format="text")
 
-    sp = sub.add_parser("verify", help="cross-validate all invariant routes for depths 0..n")
+    sp = sub.add_parser(
+        "verify",
+        help="cross-validate all invariant routes for depths 0..n",
+        description=(
+            "Cross-validate all invariant routes for depths 0..n.  The dense "
+            "oracle routes run only at depths whose graph has at most "
+            f"min(--cap, {VERIFY_MATERIALIZE_CAP}) vertices."
+        ),
+    )
     add_common(sp, with_n=True, default_format="text",
                n_flags=("-n", "--iterations", "--max-n"))
     return parser

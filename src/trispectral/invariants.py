@@ -37,6 +37,10 @@ IDENTITY_RTOL = 1e-12
 # Largest count rendered as a decimal string; factored form beyond.
 DECIMAL_DIGIT_CAP = 100_000
 
+# Largest materialized graph for the dense oracle routes of `verify_all`.  The
+# float oracles (eigensolve, pseudoinverse) cost O(N^3) time and O(N^2) memory.
+VERIFY_MATERIALIZE_CAP = 1200
+
 _LOG10_3 = math.log10(3)
 _LOG10_2 = math.log10(2)
 
@@ -318,7 +322,7 @@ def verify_all(
     g: Graph,
     max_n: int,
     tol: float = 1e-8,
-    materialize_cap: int = 300,
+    materialize_cap: int = VERIFY_MATERIALIZE_CAP,
     eig_tol: float = DEFAULT_EIG_TOL,
 ) -> VerificationResult:
     """Cross-validate every invariant by all available routes for n <= max_n.

@@ -1,15 +1,18 @@
-"""Dense symmetric linear algebra over graphs.
+"""Symmetric linear algebra over graphs.
 
 Normalized and combinatorial Laplacians, an eigensolver with a residual
 contract, resistance distances through the Laplacian pseudoinverse, and two
-spanning-tree counters: an exact integer matrix-tree determinant and the
-spectral product formula evaluated in log-space.
+spanning-tree counters: the exact matrix-tree determinant by sparse exact
+elimination in minimum-degree order, and the spectral product formula
+evaluated in log-space.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -148,47 +151,60 @@ def kf_star_direct(g: Graph) -> float:
 
 
 def spanning_trees_matrix_tree(g: Graph) -> int:
-    """Exact spanning-tree count: integer determinant of the combinatorial
-    Laplacian with the last row and column deleted (fraction-free elimination)."""
-    n = g.num_vertices
-    size = n - 1
-    m = [[0] * size for _ in range(size)]
-    for i in range(size):
-        m[i][i] = g.degrees[i]
+    """Exact spanning-tree count: determinant of the combinatorial Laplacian
+    with the last row and column deleted, by sparse exact elimination.
+
+    The grounded Laplacian is stored as one dict of Fraction entries per row.
+    Vertices are eliminated in greedy minimum-degree order, which on an
+    iterated triangulation is a perfect elimination order with no fill outside
+    the seed block.  The order comes from the current degrees alone, so the
+    count does not depend on how the graph was built.
+    """
+    size = g.num_vertices - 1
+    rows = [{i: Fraction(g.degrees[i])} for i in range(size)]
     for u, v in g.edges:
         if v < size:  # u < v, so u < size as well
-            m[u][v] -= 1
-            m[v][u] -= 1
-    return _bareiss_determinant(m)
+            rows[u][v] = rows[v][u] = Fraction(-1)
+    return _integer_determinant(rows)
 
 
-def _bareiss_determinant(m: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination; exact for integer matrices."""
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                # Exact division: every intermediate is a minor of the input.
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+def _integer_determinant(rows: list[dict[int, Fraction]]) -> int:
+    """Determinant of a symmetric positive definite matrix whose determinant
+    is an integer, given as sparse rows that always hold the diagonal.
+
+    Symmetric elimination without pivoting, taking next the row with the
+    fewest entries (ties by index) from a lazily updated heap.  Consumes
+    ``rows``.  Raises NumericError on a pivot <= 0 or a non-integer product.
+    """
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapq.heapify(heap)
+    done = [False] * len(rows)
+    numerator = denominator = 1
+    while heap:
+        length, k = heapq.heappop(heap)
+        if done[k] or length != len(rows[k]):
+            continue  # stale heap entry
+        done[k] = True
+        row = rows[k]
+        pivot = row.pop(k)
+        if pivot <= 0:
+            raise NumericError(
+                f"pivot {pivot} at vertex {k} is not positive: "
+                "the matrix is not positive definite"
+            )
+        numerator *= pivot.numerator
+        denominator *= pivot.denominator
+        for i, a_ik in row.items():
+            row_i = rows[i]
+            del row_i[k]
+            scale = a_ik / pivot
+            for j, a_kj in row.items():
+                row_i[j] = row_i.get(j, 0) - scale * a_kj
+            heapq.heappush(heap, (len(row_i), i))
+    det = Fraction(numerator, denominator)
+    if det.denominator != 1:
+        raise NumericError(f"pivot product {det} is not an integer")
+    return det.numerator
 
 
 def spanning_trees_chung(

@@ -24,6 +24,49 @@ def corpus() -> dict[str, Graph]:
     }
 
 
+def bareiss_spanning_trees(g: Graph) -> int:
+    """Matrix-tree count by dense fraction-free elimination; O(N^3), so a
+    reference for small graphs only."""
+    size = g.num_vertices - 1
+    m = [[0] * size for _ in range(size)]
+    for i in range(size):
+        m[i][i] = g.degrees[i]
+    for u, v in g.edges:
+        if v < size:  # u < v, so u < size as well
+            m[u][v] -= 1
+            m[v][u] -= 1
+    return bareiss_determinant(m)
+
+
+def bareiss_determinant(m: list[list[int]]) -> int:
+    """Fraction-free Gaussian elimination; exact for integer matrices."""
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            row_k = m[k]
+            factor = row_i[k]
+            for j in range(k + 1, n):
+                # Exact division: every intermediate is a minor of the input.
+                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
 def brute_force_spanning_trees(g: Graph) -> int:
     """Count spanning trees by enumerating all (N-1)-edge subsets."""
     n = g.num_vertices
@@ -69,4 +112,18 @@ def connected_graphs(draw, max_vertices: int = 10, max_extra_edges: int = 6) -> 
     for u, v in extra:
         if u != v:
             edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(sorted(edges), num_vertices=n)
+
+
+@st.composite
+def fill_heavy_graphs(draw, max_vertices: int = 30) -> Graph:
+    """Random connected simple graph: a random tree plus each other vertex
+    pair with one drawn probability, dense enough that elimination fills in."""
+    n = draw(st.integers(min_value=3, max_value=max_vertices))
+    density = draw(st.floats(min_value=0.2, max_value=0.8))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = {(rng.randrange(child), child) for child in range(1, n)}
+    for u, v in combinations(range(n), 2):
+        if rng.random() < density:
+            edges.add((u, v))
     return Graph.from_edges(sorted(edges), num_vertices=n)

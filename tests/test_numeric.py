@@ -1,16 +1,27 @@
 """Laplacians, eigensolver contract, resistance distances, spanning-tree counters."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_force_spanning_trees, connected_graphs, corpus
-from trispectral.graph import analyze, generate, triangulate
+from helpers import (
+    bareiss_spanning_trees,
+    brute_force_spanning_trees,
+    connected_graphs,
+    corpus,
+    fill_heavy_graphs,
+)
+from trispectral.graph import Graph, analyze, generate, iterate_triangulation, triangulate
+from trispectral.invariants import spanning_trees_closed
 from trispectral.numeric import (
     EigenResult,
+    NumericError,
     SymmetricMatrix,
+    _integer_determinant,
     combinatorial_laplacian,
     eigenvalues_sym,
     kf_star_direct,
@@ -190,6 +201,43 @@ class TestSpanningTreeCounters:
     @settings(max_examples=40)
     def test_matrix_tree_vs_brute_force(self, g):
         assert spanning_trees_matrix_tree(g) == brute_force_spanning_trees(g)
+
+    @given(fill_heavy_graphs(max_vertices=30))
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_tree_vs_bareiss_on_fill_heavy_graphs(self, g):
+        # Dense random graphs have no perfect elimination order, so the
+        # minimum-degree elimination creates fill here.
+        assert spanning_trees_matrix_tree(g) == bareiss_spanning_trees(g)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=20, deadline=None)
+    def test_matrix_tree_invariant_under_relabeling(self, rng):
+        t = iterate_triangulation(generate("petersen", 10), 2)
+        perm = list(range(t.num_vertices))
+        rng.shuffle(perm)
+        relabeled = Graph.from_edges([(perm[u], perm[v]) for u, v in t.edges])
+        assert spanning_trees_matrix_tree(relabeled) == spanning_trees_matrix_tree(t)
+
+    def test_matrix_tree_deep_triangulation(self):
+        g = generate("complete", 3)
+        t = iterate_triangulation(g, 7)
+        assert t.num_vertices == 3282
+        closed = spanning_trees_closed(spanning_trees_matrix_tree(g), 3, 3, 7)
+        assert spanning_trees_matrix_tree(t) == closed.to_int()
+
+    def test_elimination_rejects_nonpositive_pivot(self):
+        # [[1, 2], [2, 1]] is indefinite: the second pivot is 1 - 4 = -3.
+        rows = [
+            {0: Fraction(1), 1: Fraction(2)},
+            {0: Fraction(2), 1: Fraction(1)},
+        ]
+        with pytest.raises(NumericError, match="pivot -3 at vertex 1"):
+            _integer_determinant(rows)
+
+    def test_elimination_rejects_non_integer_product(self):
+        rows = [{0: Fraction(3, 2)}, {1: Fraction(1, 3)}]
+        with pytest.raises(NumericError, match="pivot product 1/2 is not an integer"):
+            _integer_determinant(rows)
 
     @pytest.mark.parametrize(
         "kind,size,expected",
