@@ -6,128 +6,15 @@ multiplicative degree-Kirchhoff index, Kemeny's constant, and the
 spanning-tree count by independent cross-validated routes.
 """
 
-from .graph import (
-    DEFAULT_VERTEX_CAP,
-    DisconnectedGraphError,
-    DuplicateEdgeError,
-    EdgeListFormatError,
-    EmptyInputError,
-    Graph,
-    GraphAnalysis,
-    GraphInputError,
-    SelfLoopError,
-    VertexCapExceededError,
-    analyze,
-    format_edge_list,
-    generate,
-    iterate_triangulation,
-    parse_edge_list,
-    predicted_counts,
-    triangulate,
-)
-from .invariants import (
-    InvariantReport,
-    SeedData,
-    SpanningTreeCount,
-    VerificationResult,
-    kappa,
-    kemeny_closed,
-    kemeny_recursive,
-    kf_star_closed,
-    kf_star_recursive,
-    seed_data,
-    spanning_trees_closed,
-    spanning_trees_step,
-    verify_all,
-)
-from .numeric import (
-    DEFAULT_EIG_TOL,
-    EigenResult,
-    EigensolverError,
-    NumericError,
-    PseudoinverseError,
-    SymmetricMatrix,
-    adjacency_matrix,
-    combinatorial_laplacian,
-    eigenvalues_sym,
-    kf_star_direct,
-    normalized_laplacian,
-    resistance_distances,
-    spanning_trees_chung,
-    spanning_trees_matrix_tree,
-)
-from .spectra import (
-    DEFAULT_EXPANSION_CAP,
-    DyadicEigenvalue,
-    ExceptionalBand,
-    ExceptionalClass,
-    ExpansionCapError,
-    SpectrumDescriptor,
-    build_descriptor,
-    descriptor_for,
-    expand_descriptor,
-    halve_multiset,
-    multiplicity_of,
-    new_unit_multiplicity,
-    reciprocal_sum,
-)
+from .graph import generate, triangulate
+from .invariants import verify_all
+from .spectra import descriptor_for, expand_descriptor, reciprocal_sum
 
 __all__ = [
-    "DEFAULT_EIG_TOL",
-    "DEFAULT_EXPANSION_CAP",
-    "DEFAULT_VERTEX_CAP",
-    "DisconnectedGraphError",
-    "DuplicateEdgeError",
-    "DyadicEigenvalue",
-    "EdgeListFormatError",
-    "EigenResult",
-    "EigensolverError",
-    "EmptyInputError",
-    "ExceptionalBand",
-    "ExceptionalClass",
-    "ExpansionCapError",
-    "Graph",
-    "GraphAnalysis",
-    "GraphInputError",
-    "InvariantReport",
-    "NumericError",
-    "PseudoinverseError",
-    "SeedData",
-    "SelfLoopError",
-    "SpanningTreeCount",
-    "SpectrumDescriptor",
-    "SymmetricMatrix",
-    "VerificationResult",
-    "VertexCapExceededError",
-    "adjacency_matrix",
-    "analyze",
-    "build_descriptor",
-    "combinatorial_laplacian",
     "descriptor_for",
-    "eigenvalues_sym",
     "expand_descriptor",
-    "format_edge_list",
     "generate",
-    "halve_multiset",
-    "iterate_triangulation",
-    "kappa",
-    "kemeny_closed",
-    "kemeny_recursive",
-    "kf_star_closed",
-    "kf_star_direct",
-    "kf_star_recursive",
-    "multiplicity_of",
-    "new_unit_multiplicity",
-    "normalized_laplacian",
-    "parse_edge_list",
-    "predicted_counts",
     "reciprocal_sum",
-    "resistance_distances",
-    "seed_data",
-    "spanning_trees_chung",
-    "spanning_trees_closed",
-    "spanning_trees_matrix_tree",
-    "spanning_trees_step",
     "triangulate",
     "verify_all",
 ]

@@ -27,12 +27,7 @@ from .graph import (
     iterate_triangulation,
     parse_edge_list,
 )
-from .invariants import (
-    VERIFY_MATERIALIZE_CAP,
-    InvariantReport,
-    VerificationResult,
-    verify_all,
-)
+from .invariants import VERIFY_MATERIALIZE_CAP, InvariantReport, verify_all
 from .spectra import ExpansionCapError, descriptor_for, expand_descriptor
 
 _FORMATS = ("json", "csv", "text")
@@ -125,6 +120,7 @@ def config_from_args(args: argparse.Namespace) -> CliConfig:
 def run(config: CliConfig) -> int:
     try:
         text, status = _execute(config)
+        _emit(text, config.output_path)
     except (GraphInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -142,7 +138,6 @@ def run(config: CliConfig) -> int:
             file=sys.stderr,
         )
         return 3
-    _emit(text, config.output_path)
     return status
 
 
@@ -199,7 +194,7 @@ def _run_analyze(g: Graph, config: CliConfig) -> str:
     fields = {
         "n_vertices": info.n_vertices,
         "n_edges": info.n_edges,
-        "connected": info.connected,
+        "connected": True,  # from_edges rejects disconnected input
         "bipartite": info.bipartite,
         "min_degree": info.min_degree,
         "max_degree": info.max_degree,
@@ -229,13 +224,9 @@ def _run_spectrum(g: Graph, config: CliConfig) -> str:
         doc["expanded"] = expand_descriptor(descriptor)
     if config.output_format == "json":
         return _json_doc(doc)
+    classes = sorted(descriptor.eigenvalue_classes(), key=lambda pair: pair[0])
     if config.output_format == "csv":
-        rows = [
-            [eig.value, str(mult)]
-            for eig, mult in sorted(
-                descriptor.eigenvalue_classes(), key=lambda pair: pair[0].value
-            )
-        ]
+        rows = [[value, str(mult)] for value, mult in classes]
         return _csv_doc(["value", "multiplicity"], rows)
     lines = [
         f"depth: {descriptor.n}",
@@ -244,10 +235,7 @@ def _run_spectrum(g: Graph, config: CliConfig) -> str:
         f"total eigenvalues: {descriptor.total_multiplicity}",
         "classes (value x multiplicity):",
     ]
-    for eig, mult in sorted(
-        descriptor.eigenvalue_classes(), key=lambda pair: pair[0].value
-    ):
-        lines.append(f"  {eig.value!r} x {mult}")
+    lines.extend(f"  {value!r} x {mult}" for value, mult in classes)
     if config.expand:
         lines.append("expanded: " + " ".join(repr(v) for v in doc["expanded"]))
     return "\n".join(lines) + "\n"

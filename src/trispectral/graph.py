@@ -108,25 +108,16 @@ class Graph:
 
 @dataclass(frozen=True)
 class GraphAnalysis:
-    """Structural report: counts, connectivity, and combinatorial bipartiteness."""
+    """Structural report: counts, degree range, and combinatorial bipartiteness."""
 
     n_vertices: int
     n_edges: int
-    connected: bool
     bipartite: bool
     min_degree: int
     max_degree: int
 
 
 def _require_connected(n: int, adjacency: Sequence[Sequence[int]]) -> None:
-    reached = _bfs_component_size(n, adjacency)
-    if reached != n:
-        raise DisconnectedGraphError(
-            f"graph is disconnected: reached {reached} of {n} vertices from vertex 0"
-        )
-
-
-def _bfs_component_size(n: int, adjacency: Sequence[Sequence[int]]) -> int:
     visited = [False] * n
     visited[0] = True
     queue = deque([0])
@@ -138,7 +129,10 @@ def _bfs_component_size(n: int, adjacency: Sequence[Sequence[int]]) -> int:
                 visited[v] = True
                 reached += 1
                 queue.append(v)
-    return reached
+    if reached != n:
+        raise DisconnectedGraphError(
+            f"graph is disconnected: reached {reached} of {n} vertices from vertex 0"
+        )
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -182,21 +176,18 @@ def analyze(g: Graph) -> GraphAnalysis:
     color = [-1] * n
     color[0] = 0
     queue = deque([0])
-    reached = 1
     bipartite = True
     while queue:
         u = queue.popleft()
         for v in g.adjacency[u]:
             if color[v] == -1:
                 color[v] = color[u] ^ 1
-                reached += 1
                 queue.append(v)
             elif color[v] == color[u]:
                 bipartite = False
     return GraphAnalysis(
         n_vertices=n,
         n_edges=g.num_edges,
-        connected=reached == n,
         bipartite=bipartite,
         min_degree=min(g.degrees),
         max_degree=max(g.degrees),

@@ -243,9 +243,8 @@ def spanning_trees_step(
 
 @dataclass(frozen=True)
 class SeedData:
-    """Seed-graph invariants, each from its own first-principles oracle."""
+    """Invariants of one explicit graph, each from its own first-principles oracle."""
 
-    graph: Graph
     eigenvalues: tuple[float, ...]
     bipartite: bool
     kf_star: float  # resistance-distance sum
@@ -254,15 +253,12 @@ class SeedData:
 
 
 def seed_data(g: Graph, tol: float = DEFAULT_EIG_TOL) -> SeedData:
-    info = analyze(g)
-    eig = eigenvalues_sym(normalized_laplacian(g), tol=tol)
-    kemeny = math.fsum(1.0 / x for x in eig.eigenvalues[1:])
+    eigenvalues = eigenvalues_sym(normalized_laplacian(g), tol=tol).eigenvalues
     return SeedData(
-        graph=g,
-        eigenvalues=eig.eigenvalues,
-        bipartite=info.bipartite,
+        eigenvalues=eigenvalues,
+        bipartite=analyze(g).bipartite,
         kf_star=kf_star_direct(g),
-        kemeny=kemeny,
+        kemeny=math.fsum(1.0 / x for x in eigenvalues[1:]),
         spanning_trees=spanning_trees_matrix_tree(g),
     )
 
@@ -328,10 +324,10 @@ def verify_all(
     """Cross-validate every invariant by all available routes for n <= max_n.
 
     Routes per invariant: closed form, iterated recursion, the spectrum sum
-    over the symbolic descriptor, and a direct oracle on the materialized
-    graph while its vertex count stays within ``materialize_cap``.  Floating
-    routes must agree within ``tol`` relative; spanning-tree routes must agree
-    exactly.
+    over the symbolic descriptor, and a direct oracle (:func:`seed_data`) on
+    the materialized graph while its vertex count stays within
+    ``materialize_cap``.  Floating routes must agree within ``tol`` relative;
+    spanning-tree routes must agree exactly.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
@@ -342,73 +338,62 @@ def verify_all(
     reports: list[InvariantReport] = []
     failures: list[str] = []
 
-    kf_running = seed.kf_star
-    kemeny_running = seed.kemeny
-    trees_running = SpanningTreeCount(0, 0, seed.spanning_trees)
+    names = ("kf_star", "kemeny", "spanning_trees")
+    running = (seed.kf_star, seed.kemeny, SpanningTreeCount(0, 0, seed.spanning_trees))
     materialized: Graph | None = g
+    oracle: SeedData | None = seed
 
     for n in range(max_n + 1):
-        if n > 0:
-            kf_running = kf_star_recursive(kf_running, n0, e0, n)
-            kemeny_running = kemeny_recursive(kemeny_running, n0, e0, n)
-            trees_running = spanning_trees_step(trees_running, n0, e0, n)
         vertices, edges = predicted_counts(n0, e0, n)
-        if n > 0 and materialized is not None:
-            if vertices <= materialize_cap:
+        if n > 0:
+            running = (
+                kf_star_recursive(running[0], n0, e0, n),
+                kemeny_recursive(running[1], n0, e0, n),
+                spanning_trees_step(running[2], n0, e0, n),
+            )
+            if materialized is not None and vertices <= materialize_cap:
                 materialized = triangulate(materialized, cap=materialize_cap)
+                oracle = seed_data(materialized, tol=eig_tol)
             else:
-                materialized = None
-
+                materialized = oracle = None
+        closed = (
+            kf_star_closed(seed.kf_star, n0, e0, n),
+            kemeny_closed(seed.kemeny, n0, e0, n),
+            spanning_trees_closed(seed.spanning_trees, n0, e0, n),
+        )
+        kf, kemeny, trees = closed
         descriptor = build_descriptor(seed.eigenvalues, e0, seed.bipartite, n)
         exact_part, seed_part = reciprocal_sum(descriptor)
         kemeny_spectrum = float(exact_part) + seed_part
 
-        kf_routes: dict[str, float] = {
-            "closed_form": kf_star_closed(seed.kf_star, n0, e0, n),
-            "recursion": kf_running,
-            "spectrum_sum": 2 * edges * kemeny_spectrum,
+        routes: dict[str, dict[str, object]] = {
+            name: {"closed_form": value, "recursion": recursion}
+            for name, value, recursion in zip(names, closed, running)
         }
-        kemeny_routes: dict[str, float] = {
-            "closed_form": kemeny_closed(seed.kemeny, n0, e0, n),
-            "recursion": kemeny_running,
-            "spectrum_sum": kemeny_spectrum,
-        }
-        trees_closed = spanning_trees_closed(seed.spanning_trees, n0, e0, n)
-        tree_routes: dict[str, object] = {
-            "closed_form": trees_closed,
-            "recursion": trees_running,
-        }
-        if n == 0:
-            kf_routes["direct_oracle"] = seed.kf_star
-            kemeny_routes["direct_oracle"] = seed.kemeny
-            tree_routes["direct_oracle"] = seed.spanning_trees
-        elif materialized is not None:
-            kf_routes["direct_oracle"] = kf_star_direct(materialized)
-            dense = eigenvalues_sym(normalized_laplacian(materialized), tol=eig_tol)
-            kemeny_routes["direct_oracle"] = math.fsum(
-                1.0 / x for x in dense.eigenvalues[1:]
-            )
-            tree_routes["direct_oracle"] = spanning_trees_matrix_tree(materialized)
+        routes["kf_star"]["spectrum_sum"] = 2 * edges * kemeny_spectrum
+        routes["kemeny"]["spectrum_sum"] = kemeny_spectrum
+        if oracle is not None:
+            for name, by_route in routes.items():
+                by_route["direct_oracle"] = getattr(oracle, name)
 
         discrepancies: dict[str, float] = {}
-        for name, float_routes in (("kf_star", kf_routes), ("kemeny", kemeny_routes)):
+        for name in ("kf_star", "kemeny"):
+            float_routes = routes[name]
             values = list(float_routes.values())
-            reference = abs(float_routes["closed_form"])
-            spread = (max(values) - min(values)) / reference
+            spread = (max(values) - min(values)) / abs(float_routes["closed_form"])
             discrepancies[name] = spread
             if spread > tol:
                 table = ", ".join(f"{r}={v!r}" for r, v in sorted(float_routes.items()))
                 failures.append(
                     f"n={n}: {name} routes disagree by {spread:.3e} > {tol:.1e} ({table})"
                 )
-        trees_exact = all(value == trees_closed for value in tree_routes.values())
+        tree_routes = routes["spanning_trees"]
+        trees_exact = all(value == trees for value in tree_routes.values())
         discrepancies["spanning_trees"] = 0.0 if trees_exact else math.inf
         if not trees_exact:
-            table = ", ".join(f"{r}={v}" for r, v in sorted(tree_routes.items(), key=lambda kv: kv[0]))
+            table = ", ".join(f"{r}={v}" for r, v in sorted(tree_routes.items()))
             failures.append(f"n={n}: spanning-tree routes are not exactly equal ({table})")
-        identity = abs(
-            kf_routes["closed_form"] - 2 * edges * kemeny_routes["closed_form"]
-        ) / abs(kf_routes["closed_form"])
+        identity = abs(kf - 2 * edges * kemeny) / abs(kf)
         discrepancies["kf_kemeny_identity"] = identity
         if identity > IDENTITY_RTOL:
             failures.append(
@@ -420,15 +405,11 @@ def verify_all(
                 n=n,
                 num_vertices=vertices,
                 num_edges=edges,
-                kf_star=kf_routes["closed_form"],
-                kemeny=kemeny_routes["closed_form"],
-                spanning_trees=trees_closed,
+                kf_star=kf,
+                kemeny=kemeny,
+                spanning_trees=trees,
                 kappa=kappa(n0, e0, n),
-                routes={
-                    "kf_star": kf_routes,
-                    "kemeny": kemeny_routes,
-                    "spanning_trees": tree_routes,
-                },
+                routes=routes,
                 discrepancies=discrepancies,
             )
         )

@@ -1,19 +1,16 @@
 """Symmetric linear algebra over graphs.
 
 Normalized and combinatorial Laplacians, an eigensolver with a residual
-contract, resistance distances through the Laplacian pseudoinverse, and two
-spanning-tree counters: the exact matrix-tree determinant by sparse exact
-elimination in minimum-degree order, and the spectral product formula
-evaluated in log-space.
+contract, resistance distances through the Laplacian pseudoinverse, and the
+exact matrix-tree determinant by sparse exact elimination in minimum-degree
+order.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -206,27 +203,3 @@ def _integer_determinant(rows: list[dict[int, Fraction]]) -> int:
         raise NumericError(f"pivot product {det} is not an integer")
     return det.numerator
 
-
-def spanning_trees_chung(
-    eigs: EigenResult, degrees: Sequence[int], tol: float = DEFAULT_EIG_TOL
-) -> float:
-    """Spanning-tree count from the normalized-Laplacian spectrum:
-    prod(d_i) * prod(nonzero eigenvalues) / sum(d_i), evaluated in log-space.
-
-    The caller compares against an exact counter after rounding to the
-    nearest integer.
-    """
-    lam = eigs.eigenvalues
-    if len(lam) != len(degrees):
-        raise ValueError("eigenvalue count must match degree count")
-    bad = [x for x in lam[1:] if x <= tol]
-    if bad:
-        raise ValueError(
-            f"spectrum has {len(bad)} nonpositive values beyond tolerance {tol:.1e}"
-        )
-    log_value = (
-        math.fsum(math.log(d) for d in degrees)
-        + math.fsum(math.log(x) for x in lam[1:])
-        - math.log(sum(degrees))
-    )
-    return math.exp(log_value)

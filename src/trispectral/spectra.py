@@ -12,12 +12,12 @@ dyadic rationals and carry exactly in floating point.
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .graph import Graph, analyze, predicted_counts
 from .numeric import DEFAULT_EIG_TOL, eigenvalues_sym, normalized_laplacian
@@ -42,34 +42,6 @@ class ExceptionalClass(Enum):
     @property
     def label(self) -> str:
         return str(self.value)
-
-
-_CLASS_BY_LABEL = {cls.label: cls for cls in ExceptionalClass}
-
-
-@dataclass(frozen=True)
-class DyadicEigenvalue:
-    """A base value halved ``halvings`` times.
-
-    Seed-derived entries carry the (floating) seed eigenvalue and halvings
-    equal to the descriptor depth; exceptional entries carry an exact
-    Fraction base and halvings equal to depth minus generation.
-    """
-
-    base: Union[Fraction, float]
-    halvings: int
-    seed_index: int | None = None
-
-    @property
-    def value(self) -> float:
-        # Scaling by a power of two is exact in binary floating point.
-        return float(self.base) * 0.5**self.halvings
-
-    @property
-    def exact(self) -> Fraction | None:
-        if isinstance(self.base, Fraction):
-            return self.base / (1 << self.halvings)
-        return None
 
 
 @dataclass(frozen=True)
@@ -120,18 +92,26 @@ class SpectrumDescriptor:
             band.multiplicity for band in self.exceptional
         )
 
-    def eigenvalue_classes(self) -> list[tuple[DyadicEigenvalue, int]]:
-        """All distinct eigenvalue classes with their exact multiplicities."""
-        out: list[tuple[DyadicEigenvalue, int]] = []
-        for idx, (value, mult) in enumerate(self.effective_seed()):
-            out.append((DyadicEigenvalue(value, self.n, seed_index=idx), mult))
-        for band in self.exceptional:
-            out.append(
-                (
-                    DyadicEigenvalue(band.eigenvalue_class.value, self.n - band.generation),
-                    band.multiplicity,
+    def eigenvalue_classes(self) -> list[tuple[float, int]]:
+        """All distinct eigenvalue classes as (value, exact multiplicity).
+
+        Values are scaled by powers of two, which is exact while they stay
+        normal doubles; raises OverflowError once a nonzero value would fall
+        below the smallest normal double and lose bits.
+        """
+        classes = [(value, mult, self.n) for value, mult in self.effective_seed()]
+        classes += [
+            (float(band.eigenvalue_class.value), band.multiplicity, self.n - band.generation)
+            for band in self.exceptional
+        ]
+        out: list[tuple[float, int]] = []
+        for base, mult, halvings in classes:
+            value = base * 0.5**halvings
+            if base != 0.0 and abs(value) < sys.float_info.min:
+                raise OverflowError(
+                    f"eigenvalue {base!r} / 2^{halvings} is below the smallest normal double"
                 )
-            )
+            out.append((value, mult))
         return out
 
     def to_json_dict(self) -> dict:
@@ -146,30 +126,6 @@ class SpectrumDescriptor:
                 for band in self.exceptional
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpectrumDescriptor":
-        doc = json.loads(text)
-        return cls(
-            n=doc["n"],
-            n0=doc["n0"],
-            e0=doc["e0"],
-            bipartite_seed=doc["bipartite_seed"],
-            seed_eigs=tuple((float(v), int(m)) for v, m in doc["seed_eigs"]),
-            exceptional=tuple(
-                ExceptionalBand(int(g), _CLASS_BY_LABEL[label], int(m))
-                for g, label, m in doc["exceptional"]
-            ),
-        )
-
-
-def halve_multiset(values: Iterable[float]) -> list[float]:
-    """Every element divided by two, multiplicities preserved."""
-    return [v / 2 for v in values]
-
 
 def new_unit_multiplicity(n0: int, e0: int, g: int) -> int:
     """Count of eigenvalue-1 copies introduced at generation g >= 1 (may be
@@ -277,8 +233,8 @@ def expand_descriptor(
     if total > cap:
         raise ExpansionCapError(f"expansion needs {total} values, cap is {cap}")
     values: list[float] = []
-    for eig, mult in d.eigenvalue_classes():
-        values.extend([eig.value] * mult)
+    for value, mult in d.eigenvalue_classes():
+        values.extend([value] * mult)
     values.sort()
     return values
 

@@ -87,6 +87,25 @@ class TestSpectrum:
     def test_expansion_cap_exit_code(self, k3_file, capsys):
         assert main(["spectrum", str(k3_file), "-n", "40", "--expand"]) == 3
 
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_classes_below_smallest_normal_exit_two(self, k3_file, capsys, fmt):
+        assert main(["spectrum", str(k3_file), "-n", "1100", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "double-precision range" in captured.err
+
+    def test_classes_at_smallest_normal_depth(self, k3_file, capsys):
+        assert main(["spectrum", str(k3_file), "-n", "1022", "--format", "text"]) == 0
+        classes = capsys.readouterr().out.split("classes (value x multiplicity):\n")[1]
+        values = [float(line.split(" x ")[0]) for line in classes.splitlines()]
+        assert values[0] == 0.0
+        assert values[1] == 1.5 * 2.0**-1022  # the seed class 3/2, halved 1022 times
+        assert all(v > 0.0 for v in values[1:])
+
+    def test_json_unaffected_at_extreme_depth(self, k3_file, capsys):
+        assert main(["spectrum", str(k3_file), "-n", "2000"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 2000
+
 
 class TestInvariants:
     def test_table_row(self, k3_file, capsys):
@@ -126,6 +145,14 @@ class TestErrorPaths:
         path = tmp_path / "bad.edges"
         path.write_text("0 0\n")
         assert main(["analyze", str(path)]) == 2
+
+    def test_unwritable_output_path(self, k3_file, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "out.txt"
+        assert main(["analyze", str(k3_file), "-o", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not out_path.exists()
 
     def test_disconnected_graph(self, tmp_path, capsys):
         path = tmp_path / "disc.edges"

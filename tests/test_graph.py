@@ -87,7 +87,6 @@ class TestAnalyze:
     def test_path_bipartite(self):
         info = analyze(generate("path", 3))
         assert info.bipartite is True
-        assert info.connected is True
 
     def test_even_cycle(self):
         info = analyze(generate("cycle", 4))

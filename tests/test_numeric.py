@@ -12,13 +12,11 @@ from helpers import (
     bareiss_spanning_trees,
     brute_force_spanning_trees,
     connected_graphs,
-    corpus,
     fill_heavy_graphs,
 )
 from trispectral.graph import Graph, analyze, generate, iterate_triangulation, triangulate
 from trispectral.invariants import spanning_trees_closed
 from trispectral.numeric import (
-    EigenResult,
     NumericError,
     SymmetricMatrix,
     _integer_determinant,
@@ -27,7 +25,6 @@ from trispectral.numeric import (
     kf_star_direct,
     normalized_laplacian,
     resistance_distances,
-    spanning_trees_chung,
     spanning_trees_matrix_tree,
 )
 
@@ -238,38 +235,3 @@ class TestSpanningTreeCounters:
         rows = [{0: Fraction(3, 2)}, {1: Fraction(1, 3)}]
         with pytest.raises(NumericError, match="pivot product 1/2 is not an integer"):
             _integer_determinant(rows)
-
-    @pytest.mark.parametrize(
-        "kind,size,expected",
-        [("complete", 3, 3), ("complete", 2, 1), ("path", 3, 1)],
-    )
-    def test_chung_formula_frozen(self, kind, size, expected):
-        g = generate(kind, size)
-        eig = eigenvalues_sym(normalized_laplacian(g))
-        value = spanning_trees_chung(eig, g.degrees)
-        assert value == pytest.approx(expected, rel=1e-12)
-        assert round(value) == expected
-
-    @given(connected_graphs())
-    @settings(max_examples=30)
-    def test_chung_matches_matrix_tree(self, g):
-        eig = eigenvalues_sym(normalized_laplacian(g))
-        exact = spanning_trees_matrix_tree(g)
-        approx = spanning_trees_chung(eig, g.degrees)
-        assert abs(approx - exact) / exact <= 1e-6
-        assert round(approx) == exact
-
-    def test_chung_corpus_triangulations_within_tolerance(self):
-        for name, g in corpus().items():
-            t = g
-            while t.num_vertices + t.num_edges <= 200:
-                t = triangulate(t)
-                eig = eigenvalues_sym(normalized_laplacian(t))
-                exact = spanning_trees_matrix_tree(t)
-                approx = spanning_trees_chung(eig, t.degrees)
-                assert abs(approx - exact) / exact <= 1e-6, (name, t.num_vertices)
-
-    def test_chung_rejects_degerate_spectrum(self):
-        fake = EigenResult(eigenvalues=(0.0, 0.0, 1.5), residual=0.0)
-        with pytest.raises(ValueError):
-            spanning_trees_chung(fake, (2, 2, 2))
