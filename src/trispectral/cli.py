@@ -126,7 +126,7 @@ def run(config: CliConfig) -> int:
         return 2
     except OverflowError as exc:
         print(
-            f"error: value exceeds double-precision range at this depth ({exc})",
+            f"error: value outside double-precision range at this depth ({exc})",
             file=sys.stderr,
         )
         return 2

@@ -10,14 +10,16 @@ reports their agreement.
 Spanning-tree counts scale like 3^(sum of generation vertex counts): the
 exponent alone exceeds 10^13 at depth 30, so the closed form is carried as an
 exact factored value (3^a * 2^b * seed count) and only materialized into a
-plain integer when that is physically feasible.
+plain integer when that is physically feasible.  Decimal strings come from
+exact decimal arithmetic (a rounded result raises), not from the int-to-str
+conversion, which is quadratic in the digit count.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
+from decimal import MAX_EMAX, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -29,7 +31,7 @@ from .numeric import (
     normalized_laplacian,
     spanning_trees_matrix_tree,
 )
-from .spectra import build_descriptor, reciprocal_sum
+from .spectra import reciprocal_sums
 
 # Relative tolerance for the identity kf_star = 2 * E_n * kemeny.
 IDENTITY_RTOL = 1e-12
@@ -88,19 +90,26 @@ class SpanningTreeCount:
         )
         return int(estimate) + 1
 
+    def _require_digits(self, max_digits: int) -> int:
+        digits = self.digits10()
+        if digits > max_digits:
+            raise OverflowError(f"count has about {digits} digits, above the {max_digits} limit")
+        return digits
+
     def to_int(self, max_digits: int = 10**7) -> int:
-        if self.digits10() > max_digits:
-            raise OverflowError(
-                f"count has about {self.digits10()} digits, above the {max_digits} limit"
-            )
+        self._require_digits(max_digits)
         return 3**self.pow3 * 2**self.pow2 * self.seed_count
 
     __int__ = to_int
 
     def decimal(self, max_digits: int = DECIMAL_DIGIT_CAP) -> str:
-        """Decimal string; raises OverflowError beyond max_digits."""
-        value = self.to_int(max_digits=max_digits)
-        return _int_to_decimal(value, self.digits10())
+        """Exact decimal string; raises OverflowError beyond max_digits."""
+        digits = self._require_digits(max_digits)
+        with localcontext() as ctx:
+            ctx.prec = digits + 10
+            ctx.Emax = MAX_EMAX
+            ctx.traps[Inexact] = ctx.traps[Rounded] = True
+            return str(Decimal(3) ** self.pow3 * Decimal(2) ** self.pow2 * self.seed_count)
 
     def factored(self) -> str:
         return f"3^{self.pow3} * 2^{self.pow2} * {self.seed_count}"
@@ -118,23 +127,6 @@ class SpanningTreeCount:
 
     def __repr__(self) -> str:
         return f"SpanningTreeCount(pow3={self.pow3}, pow2={self.pow2}, seed_count={self.seed_count})"
-
-
-def _int_to_decimal(value: int, digits_hint: int) -> str:
-    # CPython caps int -> str conversion length; lift it temporarily.
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if get_limit is None or set_limit is None:
-        return str(value)
-    old = get_limit()
-    need = digits_hint + 10
-    if need <= old:
-        return str(value)
-    set_limit(need)
-    try:
-        return str(value)
-    finally:
-        set_limit(old)
 
 
 def kf_star_closed(kf0: float, n0: int, e0: int, n: int) -> float:
@@ -188,22 +180,12 @@ def kemeny_recursive(prev: float, n0: int, e0: int, n: int) -> float:
 
 
 def kappa(n0: int, e0: int, n: int) -> int:
-    """Sum of vertex counts over generations 0..n-1 (the exponent driver in
-    the spanning-tree closed form); exact integer."""
+    """Sum of vertex counts over generations 0..n-1 (the exponent driver in the
+    spanning-tree closed form): n*n0 + (3^n - 1 - 2n)/4 * e0, exactly.  verify_all
+    checks it against the summation that spanning_trees_step carries."""
     if n < 0:
         raise ValueError("depth must be nonnegative")
-    total = 0
-    vertices, edges = n0, e0
-    for _ in range(n):
-        total += vertices
-        vertices += edges
-        edges *= 3
-    closed = Fraction(3**n - 1, 4) * e0 + n * (n0 - Fraction(e0, 2))
-    if total != closed:
-        raise RuntimeError(
-            f"internal inconsistency: summation {total} != closed form {closed}"
-        )
-    return total
+    return n * n0 + (3**n - 1 - 2 * n) // 4 * e0
 
 
 def spanning_trees_closed(nst0: int, n0: int, e0: int, n: int) -> SpanningTreeCount:
@@ -327,7 +309,9 @@ def verify_all(
     over the symbolic descriptor, and a direct oracle (:func:`seed_data`) on
     the materialized graph while its vertex count stays within
     ``materialize_cap``.  Floating routes must agree within ``tol`` relative;
-    spanning-tree routes must agree exactly.
+    spanning-tree routes must agree exactly.  The spectrum sum is carried one
+    generation at a time from the depth-0/1 descriptors (``reciprocal_sums``),
+    so without the direct oracle each depth costs O(1) big-integer operations.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
@@ -342,6 +326,7 @@ def verify_all(
     running = (seed.kf_star, seed.kemeny, SpanningTreeCount(0, 0, seed.spanning_trees))
     materialized: Graph | None = g
     oracle: SeedData | None = seed
+    spectrum_sums = reciprocal_sums(seed.eigenvalues, e0, seed.bipartite)
 
     for n in range(max_n + 1):
         vertices, edges = predicted_counts(n0, e0, n)
@@ -362,8 +347,7 @@ def verify_all(
             spanning_trees_closed(seed.spanning_trees, n0, e0, n),
         )
         kf, kemeny, trees = closed
-        descriptor = build_descriptor(seed.eigenvalues, e0, seed.bipartite, n)
-        exact_part, seed_part = reciprocal_sum(descriptor)
+        exact_part, seed_part = next(spectrum_sums)
         kemeny_spectrum = float(exact_part) + seed_part
 
         routes: dict[str, dict[str, object]] = {

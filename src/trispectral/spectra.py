@@ -12,12 +12,13 @@ dyadic rationals and carry exactly in floating point.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .graph import Graph, analyze, predicted_counts
 from .numeric import DEFAULT_EIG_TOL, eigenvalues_sym, normalized_laplacian
@@ -38,10 +39,6 @@ class ExceptionalClass(Enum):
 
     THREE_HALVES = Fraction(3, 2)
     ONE = Fraction(1)
-
-    @property
-    def label(self) -> str:
-        return str(self.value)
 
 
 @dataclass(frozen=True)
@@ -122,7 +119,7 @@ class SpectrumDescriptor:
             "bipartite_seed": self.bipartite_seed,
             "seed_eigs": [[value, mult] for value, mult in self.seed_eigs],
             "exceptional": [
-                [band.generation, band.eigenvalue_class.label, str(band.multiplicity)]
+                [band.generation, str(band.eigenvalue_class.value), str(band.multiplicity)]
                 for band in self.exceptional
             ],
         }
@@ -133,6 +130,29 @@ def new_unit_multiplicity(n0: int, e0: int, g: int) -> int:
     if g < 1:
         raise ValueError("generation must be >= 1")
     return (3 ** (g - 1) + 1) // 2 * e0 - n0
+
+
+def generation_bands(
+    n0: int, e0: int, bipartite_seed: bool, g: int, prev_vertices: int
+) -> tuple[ExceptionalBand, ExceptionalBand]:
+    """The bands of generation g >= 1: 3/2 once per vertex of the depth-(g-1)
+    graph, then 1s (restoring a bipartite seed's dropped 2 at g = 1)."""
+    unit = new_unit_multiplicity(n0, e0, g) + int(g == 1 and bipartite_seed)
+    if unit < 0:
+        raise RuntimeError(
+            f"internal inconsistency: negative eigenvalue-1 multiplicity {unit} "
+            f"at generation {g} (seed not a valid connected graph?)"
+        )
+    three_halves = ExceptionalBand(g, ExceptionalClass.THREE_HALVES, prev_vertices)
+    return three_halves, ExceptionalBand(g, ExceptionalClass.ONE, unit)
+
+
+def _check_total(total: int, n0: int, e0: int, n: int) -> None:
+    expected, _ = predicted_counts(n0, e0, n)
+    if total != expected:
+        raise RuntimeError(
+            f"internal inconsistency: descriptor holds {total} eigenvalues, expected {expected}"
+        )
 
 
 def _seed_classes(
@@ -189,16 +209,7 @@ def build_descriptor(
     prev_vertices = n0
     edges = e0
     for g in range(1, n + 1):
-        unit = new_unit_multiplicity(n0, e0, g)
-        if g == 1 and bipartite_seed:
-            unit += 1
-        if unit < 0:
-            raise RuntimeError(
-                f"internal inconsistency: negative eigenvalue-1 multiplicity {unit} "
-                f"at generation {g} (seed not a valid connected graph?)"
-            )
-        bands.append(ExceptionalBand(g, ExceptionalClass.THREE_HALVES, prev_vertices))
-        bands.append(ExceptionalBand(g, ExceptionalClass.ONE, unit))
+        bands.extend(generation_bands(n0, e0, bipartite_seed, g, prev_vertices))
         prev_vertices += edges
         edges *= 3
     descriptor = SpectrumDescriptor(
@@ -209,12 +220,7 @@ def build_descriptor(
         seed_eigs=seed,
         exceptional=tuple(bands),
     )
-    expected, _ = predicted_counts(n0, e0, n)
-    if descriptor.total_multiplicity != expected:
-        raise RuntimeError(
-            f"internal inconsistency: descriptor holds {descriptor.total_multiplicity} "
-            f"eigenvalues, expected {expected}"
-        )
+    _check_total(descriptor.total_multiplicity, n0, e0, n)
     return descriptor
 
 
@@ -244,6 +250,7 @@ def reciprocal_sum(d: SpectrumDescriptor) -> tuple[Fraction, float]:
 
     The exceptional part (classes 3/2 and 1) is an exact rational; the seed
     part is floating.  Their sum is the Kemeny constant of the depth-n graph.
+    O(n) rational operations; :func:`reciprocal_sums` carries it depth by depth.
     """
     exceptional = Fraction(0)
     for band in d.exceptional:
@@ -256,22 +263,43 @@ def reciprocal_sum(d: SpectrumDescriptor) -> tuple[Fraction, float]:
     return exceptional, seed_part
 
 
+def reciprocal_sums(
+    seed_eigenvalues: Sequence[float], e0: int, bipartite_seed: bool
+) -> Iterator[tuple[Fraction, float]]:
+    """Endless :func:`reciprocal_sum` at depths 0, 1, 2, ..., carried one
+    generation at a time from the depth-0 and depth-1 descriptors: each
+    generation doubles the exact part (every eigenvalue halves) and adds its
+    two bands; the seed part is the depth-1 value times 2^(n-1), the same
+    double as the direct sum.  The band total is checked at every depth.
+    """
+    yield reciprocal_sum(build_descriptor(seed_eigenvalues, e0, bipartite_seed, 0))
+    d = build_descriptor(seed_eigenvalues, e0, bipartite_seed, 1)
+    exact, seed_part = reciprocal_sum(d)
+    yield exact, seed_part
+    total = d.total_multiplicity
+    for n in itertools.count(2):
+        bands = generation_bands(d.n0, e0, bipartite_seed, n, total)  # total == N_{n-1}
+        total += sum(b.multiplicity for b in bands)
+        _check_total(total, d.n0, e0, n)
+        exact = 2 * exact + sum(b.multiplicity / b.eigenvalue_class.value for b in bands)
+        yield exact, math.ldexp(seed_part, n - 1)
+
+
 def multiplicity_of(
     d: SpectrumDescriptor, value: Union[Fraction, float, int]
 ) -> int:
     """Exact multiplicity of a queried dyadic value.
 
-    Exceptional classes are matched exactly in rational arithmetic; the
-    seed-derived part matches within SEED_MATCH_TOL.
+    Exceptional classes match exactly in rational arithmetic; seed classes
+    within SEED_MATCH_TOL at seed scale (the query times 2^n), zero only 0.
     """
     q = value if isinstance(value, Fraction) else Fraction(value)
     total = 0
     for band in d.exceptional:
         if band.eigenvalue_class.value / (1 << (d.n - band.generation)) == q:
             total += band.multiplicity
-    qf = float(q)
-    scale = 0.5**d.n
+    scaled = q * 2**d.n
     for seed_value, mult in d.effective_seed():
-        if abs(seed_value * scale - qf) <= SEED_MATCH_TOL:
+        if abs(Fraction(seed_value) - scaled) <= (SEED_MATCH_TOL if seed_value else 0):
             total += mult
     return total

@@ -93,6 +93,7 @@ class TestSpectrum:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "double-precision range" in captured.err
+        assert "below the smallest normal double" in captured.err
 
     def test_classes_at_smallest_normal_depth(self, k3_file, capsys):
         assert main(["spectrum", str(k3_file), "-n", "1022", "--format", "text"]) == 0

@@ -2,14 +2,17 @@
 
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import connected_graphs, corpus
+from trispectral import invariants, spectra
 from trispectral.graph import generate, predicted_counts, triangulate
 from trispectral.invariants import (
+    DECIMAL_DIGIT_CAP,
     SpanningTreeCount,
     kappa,
     kemeny_closed,
@@ -120,10 +123,12 @@ class TestKappa:
         st.integers(min_value=0, max_value=25),
     )
     def test_summation_equals_closed_form(self, n0, e0, n):
-        # kappa() cross-checks its own closed form internally; reaching here
-        # without RuntimeError means both routes agreed exactly.
-        value = kappa(n0, e0, n)
-        assert value >= 0
+        summed = sum(predicted_counts(n0, e0, g)[0] for g in range(n))
+        assert kappa(n0, e0, n) == summed
+
+    def test_rejects_negative_depth(self):
+        with pytest.raises(ValueError):
+            kappa(3, 3, -1)
 
 
 class TestSpanningTreeCount:
@@ -140,6 +145,51 @@ class TestSpanningTreeCount:
         count = SpanningTreeCount(7, 5, 3)
         assert count.decimal() == "209952"
         assert str(count) == "209952"
+
+    # (pow3, pow2, seed_count): small, mid-size, and within 1% of the cap.
+    DECIMAL_CASES = [
+        (0, 0, 1),
+        (0, 0, 2000),
+        (1, 0, 6),
+        (40, 17, 12),
+        (1000, 999, 54),
+        (30_000, 20_000, 18),
+        (200_000, 10_000, 96),
+        (207_500, 3_000, 3**4 * 2**3),
+        (0, 330_000, 3**7 * 2),
+    ]
+
+    @pytest.fixture
+    def unlimited_int_str(self):
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        if get_limit is None:
+            yield
+            return
+        old = get_limit()
+        sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("pow3,pow2,seed_count", DECIMAL_CASES)
+    def test_decimal_equals_integer_rendering(self, unlimited_int_str, pow3, pow2, seed_count):
+        count = SpanningTreeCount(pow3, pow2, seed_count)
+        assert count.digits10() <= DECIMAL_DIGIT_CAP
+        assert count.decimal() == str(count.to_int())
+
+    def test_decimal_cases_reach_the_cap(self):
+        largest = max(SpanningTreeCount(*case).digits10() for case in self.DECIMAL_CASES)
+        assert 0.99 * DECIMAL_DIGIT_CAP <= largest <= DECIMAL_DIGIT_CAP
+
+    def test_decimal_above_max_digits_overflows(self):
+        count = SpanningTreeCount(209_600, 0, 1)
+        assert count.digits10() > DECIMAL_DIGIT_CAP
+        with pytest.raises(OverflowError, match="above the 100000 limit"):
+            count.decimal()
+        with pytest.raises(OverflowError, match="above the 20 limit"):
+            SpanningTreeCount(50, 0, 1).decimal(max_digits=20)
+        assert count.json_value() == count.factored()
 
     def test_factored_rendering_for_huge_values(self):
         huge = spanning_trees_closed(3, 3, 3, 30)
@@ -241,6 +291,44 @@ class TestVerifyAll:
         assert doc["spanning_trees"] == "209952"
         assert doc["routes"]["spanning_trees"]["direct_oracle"] == "209952"
         json.dumps(doc)  # must be serializable as-is
+
+    @pytest.mark.parametrize("name", sorted(corpus()))
+    def test_carried_spectrum_sum_equals_rebuilt_descriptor(self, name):
+        # Bit-exact: the carried route must print the same digits.
+        g = corpus()[name]
+        reports = verify_all(g, 60, materialize_cap=0).reports
+        for n in range(61):
+            exact, seed_part = reciprocal_sum(descriptor_for(g, n))
+            assert reports[n].routes["kemeny"]["spectrum_sum"] == float(exact) + seed_part
+
+    @given(connected_graphs(max_vertices=9, max_extra_edges=5), st.integers(0, 40))
+    @settings(max_examples=25)
+    def test_carried_spectrum_sum_property(self, g, n):
+        exact, seed_part = reciprocal_sum(descriptor_for(g, n))
+        report = verify_all(g, n, materialize_cap=0).reports[n]
+        assert report.routes["kemeny"]["spectrum_sum"] == float(exact) + seed_part
+
+    def test_symbolic_work_does_not_grow_with_depth(self, monkeypatch):
+        calls = {"build_descriptor": 0, "reciprocal_sum": 0}
+        for name in calls:
+            original = getattr(spectra, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (spectra, invariants):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        per_max_n = {}
+        for max_n in (10, 200):
+            for name in calls:
+                calls[name] = 0
+            assert verify_all(generate("complete", 3), max_n, materialize_cap=0).passed
+            per_max_n[max_n] = dict(calls)
+        assert per_max_n[10] == per_max_n[200]
+        assert per_max_n[10]["build_descriptor"] > 0
+        assert per_max_n[10]["reciprocal_sum"] > 0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

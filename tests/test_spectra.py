@@ -2,11 +2,12 @@
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 
-from helpers import connected_graphs
+from helpers import connected_graphs, corpus
 from trispectral.graph import generate, iterate_triangulation, predicted_counts
 from trispectral.numeric import eigenvalues_sym, normalized_laplacian
 from trispectral.spectra import (
@@ -17,6 +18,7 @@ from trispectral.spectra import (
     multiplicity_of,
     new_unit_multiplicity,
     reciprocal_sum,
+    reciprocal_sums,
 )
 
 
@@ -150,6 +152,19 @@ class TestReciprocalSum:
         assert float(exact) + seed_part == pytest.approx(by_expansion, rel=1e-10)
 
 
+class TestReciprocalSums:
+    @pytest.mark.parametrize("name", sorted(corpus()))
+    def test_carry_equals_rebuilt_descriptor(self, name):
+        # Exact parts equal as rationals, seed parts equal as doubles.
+        g = corpus()[name]
+        eig = eigenvalues_sym(normalized_laplacian(g)).eigenvalues
+        d0 = descriptor_for(g, 0)
+        carried = islice(reciprocal_sums(eig, g.num_edges, d0.bipartite_seed), 61)
+        for n, (exact, seed_part) in enumerate(carried):
+            d = build_descriptor(eig, g.num_edges, d0.bipartite_seed, n)
+            assert (exact, seed_part) == reciprocal_sum(d)
+
+
 class TestMultiplicityOf:
     def setup_method(self):
         self.d2 = descriptor_for(generate("complete", 3), 2)
@@ -176,6 +191,13 @@ class TestMultiplicityOf:
     def test_bipartite_seed_retains_two_at_depth_zero(self):
         d0 = descriptor_for(generate("cycle", 4), 0)
         assert multiplicity_of(d0, 2) == 1
+
+    @pytest.mark.parametrize("n", [31, 40])
+    def test_zero_unique_at_depth_where_seed_classes_fall_below_tolerance(self, n):
+        # The seed class 3/2 scaled by 2^-n is below SEED_MATCH_TOL here.
+        d = descriptor_for(generate("complete", 3), n)
+        assert multiplicity_of(d, 0) == 1
+        assert multiplicity_of(d, Fraction(3, 2 ** (n + 1))) == 2
 
 
 class TestSerialization:
