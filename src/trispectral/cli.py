@@ -217,17 +217,27 @@ def _run_triangulate(g: Graph, config: CliConfig) -> str:
     return format_edge_list(tg)
 
 
+# One `exceptional` element as _json_doc lays it out (no string needs escaping).
+_BAND_JSON = '\n    [\n      %d,\n      "%s",\n      "%s"\n    ]'
+
+
 def _run_spectrum(g: Graph, config: CliConfig) -> str:
     descriptor = descriptor_for(g, config.n)
     doc = descriptor.to_json_dict()
     if config.expand:
         doc["expanded"] = expand_descriptor(descriptor)
     if config.output_format == "json":
-        return _json_doc(doc)
-    classes = sorted(descriptor.eigenvalue_classes(), key=lambda pair: pair[0])
+        # Megabytes of digits: template the bands, skip the pure-Python indent encoder.
+        if not doc["exceptional"]:
+            return _json_doc(doc)
+        head, _, tail = _json_doc({**doc, "exceptional": []}).partition('"exceptional": []')
+        items = ",".join(_BAND_JSON % tuple(band) for band in doc["exceptional"])
+        return "".join((head, '"exceptional": [', items, "\n  ]", tail))
+    values = [value for value, _ in descriptor.eigenvalue_classes()]
+    mults = [str(m) for _, m in descriptor.effective_seed()] + [b[2] for b in doc["exceptional"]]
+    classes = sorted(zip(values, mults), key=lambda pair: pair[0])
     if config.output_format == "csv":
-        rows = [[value, str(mult)] for value, mult in classes]
-        return _csv_doc(["value", "multiplicity"], rows)
+        return _csv_doc(["value", "multiplicity"], classes)
     lines = [
         f"depth: {descriptor.n}",
         f"seed: {descriptor.n0} vertices, {descriptor.e0} edges, "

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, Decimal, Inexact, Rounded, localcontext
-from fractions import Fraction
+from decimal import MAX_EMAX, Context, Decimal, Inexact, Rounded, localcontext
 from typing import Mapping, Union
 
 from .graph import Graph, analyze, predicted_counts, triangulate
@@ -105,10 +104,7 @@ class SpanningTreeCount:
     def decimal(self, max_digits: int = DECIMAL_DIGIT_CAP) -> str:
         """Exact decimal string; raises OverflowError beyond max_digits."""
         digits = self._require_digits(max_digits)
-        with localcontext() as ctx:
-            ctx.prec = digits + 10
-            ctx.Emax = MAX_EMAX
-            ctx.traps[Inexact] = ctx.traps[Rounded] = True
+        with localcontext(Context(prec=digits + 10, Emax=MAX_EMAX, traps=[Inexact, Rounded])):
             return str(Decimal(3) ** self.pow3 * Decimal(2) ** self.pow2 * self.seed_count)
 
     def factored(self) -> str:
@@ -158,25 +154,24 @@ def kf_star_recursive(prev: float, n0: int, e0: int, n: int) -> float:
 def kemeny_closed(k0: float, n0: int, e0: int, n: int) -> float:
     """Kemeny's constant of the depth-n triangulation, in closed form.
 
-    The rational part is carried exactly and converted to floating point only
-    at the final addition.
+    The rational part is an exact integer count of sixths, divided once: int/int
+    division rounds correctly, so this is the double nearest the rational.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
-    rational = Fraction(1 - 2**n, 3) * n0 + Fraction(5 * 3**n - 2 ** (n + 2) - 1, 6) * e0
-    return 2**n * k0 + float(rational)
+    return 2**n * k0 + (2 * (1 - 2**n) * n0 + (5 * 3**n - 2 ** (n + 2) - 1) * e0) / 6
 
 
 def kemeny_recursive(prev: float, n0: int, e0: int, n: int) -> float:
     """One recursion step from the depth-(n-1) Kemeny constant.
 
     The step constant is (5 * 3^(n-1) + 1)/6 * e0 - n0/3; iterating from the
-    seed value matches the closed form to floating rounding.
+    seed value matches the closed form to floating rounding.  The constant is
+    an exact integer count of sixths, divided once.
     """
     if n < 1:
         raise ValueError("recursion step needs n >= 1")
-    rational = Fraction(-n0, 3) + Fraction((5 * 3 ** (n - 1) + 1) * e0, 6)
-    return 2 * prev + float(rational)
+    return 2 * prev + ((5 * 3 ** (n - 1) + 1) * e0 - 2 * n0) / 6
 
 
 def kappa(n0: int, e0: int, n: int) -> int:
@@ -265,9 +260,13 @@ class InvariantReport:
     discrepancies: Mapping[str, float]
 
     def to_json_dict(self) -> dict:
+        trees = self.spanning_trees
+        rendered = trees.json_value()
+
         def route_value(value: object) -> object:
             if isinstance(value, SpanningTreeCount):
-                return value.json_value()
+                # Same (pow3, pow2, seed_count): reuse; equal value may print differently.
+                return rendered if vars(value) == vars(trees) else value.json_value()
             if isinstance(value, int):
                 return str(value)
             return value
@@ -278,7 +277,7 @@ class InvariantReport:
             "num_edges": self.num_edges,
             "kf_star": self.kf_star,
             "kemeny": self.kemeny,
-            "spanning_trees": self.spanning_trees.json_value(),
+            "spanning_trees": rendered,
             "kappa": self.kappa,
             "routes": {
                 invariant: {route: route_value(v) for route, v in by_route.items()}

@@ -6,8 +6,9 @@ for bipartite seeds, is dropped), the value 3/2 enters with multiplicity
 equal to the previous vertex count, and 1s pad the total up to the new
 vertex count.  Unrolling the rule n times yields a descriptor whose size is
 O(n + seed size), independent of the iterated graph's exponential vertex
-count.  Multiplicities are exact big integers; the exceptional values are
-dyadic rationals and carry exactly in floating point.
+count.  Multiplicities are exact big integers, carried by addition (N += E,
+E *= 3) with no per-generation power and printed through exact decimals; the
+exceptional values are dyadic rationals and carry exactly in floating point.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-from .graph import Graph, analyze, predicted_counts
+from .graph import Graph, analyze
 from .numeric import DEFAULT_EIG_TOL, eigenvalues_sym, normalized_laplacian
 
 DEFAULT_EXPANSION_CAP = 10**6
@@ -119,25 +121,33 @@ class SpectrumDescriptor:
             "bipartite_seed": self.bipartite_seed,
             "seed_eigs": [[value, mult] for value, mult in self.seed_eigs],
             "exceptional": [
-                [band.generation, str(band.eigenvalue_class.value), str(band.multiplicity)]
-                for band in self.exceptional
+                [band.generation, str(band.eigenvalue_class.value), mult]
+                for band, mult in zip(self.exceptional, self._band_multiplicity_strings())
             ],
         }
 
-def new_unit_multiplicity(n0: int, e0: int, g: int) -> int:
-    """Count of eigenvalue-1 copies introduced at generation g >= 1 (may be
-    negative only for g = 1, where the bipartite correction restores it)."""
-    if g < 1:
-        raise ValueError("generation must be >= 1")
-    return (3 ** (g - 1) + 1) // 2 * e0 - n0
+    def _band_multiplicity_strings(self) -> list[str]:
+        """``str(band.multiplicity)`` for every band, from the same rule walked
+        over exact decimals: linear in the digits, where int-to-str is quadratic."""
+        out: list[str] = []
+        with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])):
+            vertices, edges = Decimal(self.n0), Decimal(self.e0)
+            for g in range(1, self.n + 1):
+                bands = generation_bands(self.bipartite_seed, g, vertices, edges)
+                out += (str(band.multiplicity) for band in bands)
+                vertices += edges
+                edges *= 3
+        return out
 
 
 def generation_bands(
-    n0: int, e0: int, bipartite_seed: bool, g: int, prev_vertices: int
+    bipartite_seed: bool, g: int, prev_vertices: int, prev_edges: int
 ) -> tuple[ExceptionalBand, ExceptionalBand]:
     """The bands of generation g >= 1: 3/2 once per vertex of the depth-(g-1)
-    graph, then 1s (restoring a bipartite seed's dropped 2 at g = 1)."""
-    unit = new_unit_multiplicity(n0, e0, g) + int(g == 1 and bipartite_seed)
+    graph, then 1s, E_{g-1} - N_{g-1} of them (plus a bipartite seed's dropped
+    2, restored at g = 1; negative only for an invalid seed).  The counts are
+    ints, or exact Decimals when rendering."""
+    unit = prev_edges - prev_vertices + int(g == 1 and bipartite_seed)
     if unit < 0:
         raise RuntimeError(
             f"internal inconsistency: negative eigenvalue-1 multiplicity {unit} "
@@ -147,8 +157,10 @@ def generation_bands(
     return three_halves, ExceptionalBand(g, ExceptionalClass.ONE, unit)
 
 
-def _check_total(total: int, n0: int, e0: int, n: int) -> None:
-    expected, _ = predicted_counts(n0, e0, n)
+def _check_total(total: int, n0: int, e0: int, edges: int) -> None:
+    """Check a band total against N_n = n0 + (3^n - 1)/2 * e0, with
+    3^n * e0 = E_n the carried edge count."""
+    expected = n0 + (edges - e0) // 2
     if total != expected:
         raise RuntimeError(
             f"internal inconsistency: descriptor holds {total} eigenvalues, expected {expected}"
@@ -196,8 +208,9 @@ def build_descriptor(
 ) -> SpectrumDescriptor:
     """Unroll the per-step spectral rule n times from a seed spectrum.
 
-    Cost is O(n + seed size).  The total multiplicity is checked against the
-    exact vertex-count recurrence.
+    Cost is O(n + seed size) big-integer additions: the vertex and edge
+    counts are carried (N += E, E *= 3), with no power per generation.  The
+    total multiplicity is checked against the exact vertex count.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
@@ -209,7 +222,7 @@ def build_descriptor(
     prev_vertices = n0
     edges = e0
     for g in range(1, n + 1):
-        bands.extend(generation_bands(n0, e0, bipartite_seed, g, prev_vertices))
+        bands.extend(generation_bands(bipartite_seed, g, prev_vertices, edges))
         prev_vertices += edges
         edges *= 3
     descriptor = SpectrumDescriptor(
@@ -220,7 +233,7 @@ def build_descriptor(
         seed_eigs=seed,
         exceptional=tuple(bands),
     )
-    _check_total(descriptor.total_multiplicity, n0, e0, n)
+    _check_total(descriptor.total_multiplicity, n0, e0, edges)
     return descriptor
 
 
@@ -269,20 +282,25 @@ def reciprocal_sums(
     """Endless :func:`reciprocal_sum` at depths 0, 1, 2, ..., carried one
     generation at a time from the depth-0 and depth-1 descriptors: each
     generation doubles the exact part (every eigenvalue halves) and adds its
-    two bands; the seed part is the depth-1 value times 2^(n-1), the same
-    double as the direct sum.  The band total is checked at every depth.
+    two bands, in integer thirds (1/(3/2) = 2/3); the vertex and edge counts
+    are carried by addition, with no power per generation.  The seed part is
+    the depth-1 value times 2^(n-1), the same double as the direct sum.  The
+    band total is checked at every depth.
     """
     yield reciprocal_sum(build_descriptor(seed_eigenvalues, e0, bipartite_seed, 0))
     d = build_descriptor(seed_eigenvalues, e0, bipartite_seed, 1)
     exact, seed_part = reciprocal_sum(d)
     yield exact, seed_part
-    total = d.total_multiplicity
+    assert (3 * exact).denominator == 1, exact
+    thirds = int(3 * exact)
+    total, edges = d.total_multiplicity, 3 * e0  # N_1, E_1
     for n in itertools.count(2):
-        bands = generation_bands(d.n0, e0, bipartite_seed, n, total)  # total == N_{n-1}
-        total += sum(b.multiplicity for b in bands)
-        _check_total(total, d.n0, e0, n)
-        exact = 2 * exact + sum(b.multiplicity / b.eigenvalue_class.value for b in bands)
-        yield exact, math.ldexp(seed_part, n - 1)
+        three_halves, unit = generation_bands(bipartite_seed, n, total, edges)
+        total += three_halves.multiplicity + unit.multiplicity
+        edges *= 3
+        _check_total(total, d.n0, e0, edges)
+        thirds = 2 * thirds + 2 * three_halves.multiplicity + 3 * unit.multiplicity
+        yield Fraction(thirds, 3), math.ldexp(seed_part, n - 1)
 
 
 def multiplicity_of(

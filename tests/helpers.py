@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import strategies as st
@@ -22,6 +23,29 @@ def corpus() -> dict[str, Graph]:
         "S5": generate("star", 5),
         "petersen": generate("petersen", 10),
     }
+
+
+def new_unit_multiplicity(n0: int, e0: int, g: int) -> int:
+    """Closed-form count of eigenvalue-1 copies introduced at generation g >= 1,
+    (3^(g-1) + 1)/2 * e0 - n0, before the bipartite +1 at g = 1 (may be
+    negative only for g = 1, where that correction restores it)."""
+    if g < 1:
+        raise ValueError("generation must be >= 1")
+    return (3 ** (g - 1) + 1) // 2 * e0 - n0
+
+
+def kemeny_closed_fraction(k0: float, n0: int, e0: int, n: int) -> float:
+    """Kemeny closed form with its rational part as a Fraction: the reference
+    the integer-sixths arithmetic of `kemeny_closed` must match bit for bit."""
+    rational = Fraction(1 - 2**n, 3) * n0 + Fraction(5 * 3**n - 2 ** (n + 2) - 1, 6) * e0
+    return 2**n * k0 + float(rational)
+
+
+def kemeny_recursive_fraction(prev: float, n0: int, e0: int, n: int) -> float:
+    """Kemeny recursion step with its constant as a Fraction (reference for
+    `kemeny_recursive`)."""
+    rational = Fraction(-n0, 3) + Fraction((5 * 3 ** (n - 1) + 1) * e0, 6)
+    return 2 * prev + float(rational)
 
 
 def bareiss_spanning_trees(g: Graph) -> int:

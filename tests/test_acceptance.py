@@ -10,7 +10,7 @@ import math
 import time
 from fractions import Fraction
 
-from helpers import corpus
+from helpers import corpus, new_unit_multiplicity
 from trispectral.graph import Graph, analyze, predicted_counts, triangulate
 from trispectral.invariants import (
     kemeny_closed,
@@ -30,7 +30,6 @@ from trispectral.spectra import (
     descriptor_for,
     expand_descriptor,
     multiplicity_of,
-    new_unit_multiplicity,
     reciprocal_sum,
 )
 

@@ -1,10 +1,14 @@
 """CLI contract: commands, formats, exit codes, determinism."""
 
+import csv
+import io
 import json
 
 import pytest
 
 from trispectral.cli import CliConfig, main
+from trispectral.graph import parse_edge_list
+from trispectral.spectra import descriptor_for, expand_descriptor
 
 K3 = "0 1\n1 2\n0 2\n"
 P3 = "0 1\n1 2\n"
@@ -102,6 +106,41 @@ class TestSpectrum:
         assert values[0] == 0.0
         assert values[1] == 1.5 * 2.0**-1022  # the seed class 3/2, halved 1022 times
         assert all(v > 0.0 for v in values[1:])
+
+    @pytest.mark.parametrize(
+        "seed,n,expand",
+        [(K3, 0, False), (K3, 1, False), (K3, 7, False), (K3, 2000, False),
+         (P3, 0, False), (P3, 1, False), (P3, 300, False),
+         (K3, 0, True), (K3, 2, True), (P3, 0, True), (P3, 3, True)],
+    )
+    def test_json_equals_encoder_layout(self, tmp_path, capsys, seed, n, expand):
+        # The templated band list must be what json.dumps would print, with
+        # multiplicities rendered by str(int).
+        path = tmp_path / "seed.edges"
+        path.write_text(seed)
+        d = descriptor_for(parse_edge_list(seed), n)
+        doc = d.to_json_dict()
+        doc["exceptional"] = [
+            [b.generation, str(b.eigenvalue_class.value), str(b.multiplicity)]
+            for b in d.exceptional
+        ]
+        if expand:
+            doc["expanded"] = expand_descriptor(d)
+        argv = ["spectrum", str(path), "-n", str(n)] + (["--expand"] if expand else [])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_text_and_csv_classes_equal_int_rendering(self, k3_file, capsys):
+        d = descriptor_for(parse_edge_list(K3), 1022)
+        classes = sorted(d.eigenvalue_classes(), key=lambda pair: pair[0])
+        assert main(["spectrum", str(k3_file), "-n", "1022", "--format", "text"]) == 0
+        text = capsys.readouterr().out.split("classes (value x multiplicity):\n")[1]
+        assert text == "".join(f"  {value!r} x {str(mult)}\n" for value, mult in classes)
+        assert main(["spectrum", str(k3_file), "-n", "1022", "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows == [["value", "multiplicity"]] + [
+            [repr(value), str(mult)] for value, mult in classes
+        ]
 
     def test_json_unaffected_at_extreme_depth(self, k3_file, capsys):
         assert main(["spectrum", str(k3_file), "-n", "2000"]) == 0

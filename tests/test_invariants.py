@@ -8,11 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_graphs, corpus
+from helpers import (
+    connected_graphs,
+    corpus,
+    kemeny_closed_fraction,
+    kemeny_recursive_fraction,
+)
 from trispectral import invariants, spectra
 from trispectral.graph import generate, predicted_counts, triangulate
 from trispectral.invariants import (
     DECIMAL_DIGIT_CAP,
+    InvariantReport,
     SpanningTreeCount,
     kappa,
     kemeny_closed,
@@ -83,6 +89,36 @@ class TestKemeny:
         right = kemeny_closed(4 / 3, 3, 3, 2)
         assert right == pytest.approx(49 / 3, rel=1e-12)
         assert abs(wrong - right) / right > 0.10
+
+    @pytest.mark.parametrize("name", sorted(corpus()))
+    def test_integer_sixths_bit_identical_to_fraction_reference(self, name):
+        # Depths 0-1100 pass both overflow points: the rational part leaves
+        # double range near depth 646, and 2**n * k0 raises from depth 1024.
+        def outcome(fn, *args):
+            try:
+                return fn(*args).hex()
+            except OverflowError as exc:
+                return type(exc), str(exc)
+
+        g = corpus()[name]
+        n0, e0, k0 = g.num_vertices, g.num_edges, seed_data(g).kemeny
+        prev = k0
+        seen = set()
+        for n in range(1101):
+            closed = outcome(kemeny_closed, k0, n0, e0, n)
+            assert closed == outcome(kemeny_closed_fraction, k0, n0, e0, n), n
+            seen.add(closed if isinstance(closed, tuple) else "value")
+            if n == 0:
+                continue
+            step = outcome(kemeny_recursive, prev, n0, e0, n)
+            assert step == outcome(kemeny_recursive_fraction, prev, n0, e0, n), n
+            if isinstance(step, str):
+                prev = float.fromhex(step)
+        assert seen == {
+            "value",
+            (OverflowError, "integer division result too large for a float"),
+            (OverflowError, "int too large to convert to float"),
+        }
 
     def test_monotone_in_depth(self):
         for g in corpus().values():
@@ -291,6 +327,41 @@ class TestVerifyAll:
         assert doc["spanning_trees"] == "209952"
         assert doc["routes"]["spanning_trees"]["direct_oracle"] == "209952"
         json.dumps(doc)  # must be serializable as-is
+
+    def test_report_json_renders_each_tree_count_once(self, monkeypatch):
+        rendered = []
+        original = SpanningTreeCount.json_value
+
+        def counted(self):
+            rendered.append(self)
+            return original(self)
+
+        monkeypatch.setattr(SpanningTreeCount, "json_value", counted)
+        for report in verify_all(generate("petersen", 10), 30, materialize_cap=0).reports:
+            doc = report.to_json_dict()
+            assert len(rendered) == 1
+            rendered.clear()
+            for route in ("closed_form", "recursion"):
+                assert doc["routes"]["spanning_trees"][route] == doc["spanning_trees"]
+
+    def test_report_json_renders_equal_value_with_other_factors_separately(self):
+        # 3^300000 * 3 == 3^299999 * 9, but past the decimal cap each prints
+        # its own factored form.
+        headline = SpanningTreeCount(300_000, 0, 3)
+        other = SpanningTreeCount(299_999, 0, 9)
+        assert headline == other
+        report = InvariantReport(
+            n=1, num_vertices=1, num_edges=1, kf_star=1.0, kemeny=1.0,
+            spanning_trees=headline, kappa=1,
+            routes={"spanning_trees": {"closed_form": headline, "recursion": other}},
+            discrepancies={},
+        )
+        doc = report.to_json_dict()
+        assert doc["spanning_trees"] == "3^300000 * 2^0 * 3"
+        assert doc["routes"]["spanning_trees"] == {
+            "closed_form": "3^300000 * 2^0 * 3",
+            "recursion": "3^299999 * 2^0 * 9",
+        }
 
     @pytest.mark.parametrize("name", sorted(corpus()))
     def test_carried_spectrum_sum_equals_rebuilt_descriptor(self, name):

@@ -6,8 +6,9 @@ from itertools import islice
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import connected_graphs, corpus
+from helpers import connected_graphs, corpus, new_unit_multiplicity
 from trispectral.graph import generate, iterate_triangulation, predicted_counts
 from trispectral.numeric import eigenvalues_sym, normalized_laplacian
 from trispectral.spectra import (
@@ -16,7 +17,6 @@ from trispectral.spectra import (
     descriptor_for,
     expand_descriptor,
     multiplicity_of,
-    new_unit_multiplicity,
     reciprocal_sum,
     reciprocal_sums,
 )
@@ -210,6 +210,41 @@ class TestSerialization:
         assert doc["bipartite_seed"] is False
         assert [1, "3/2", "3"] in doc["exceptional"]
         assert [1, "1", "0"] in doc["exceptional"]
+
+
+def _band_strings(d):
+    return [mult for _, _, mult in d.to_json_dict()["exceptional"]]
+
+
+class TestBandMultiplicityStrings:
+    # Band counts print through exact decimals; they must equal str(int).
+    @pytest.mark.parametrize("name", sorted(corpus()))
+    def test_equal_int_rendering_for_corpus(self, name):
+        g = corpus()[name]
+        eig = eigenvalues_sym(normalized_laplacian(g)).eigenvalues
+        bipartite = descriptor_for(g, 0).bipartite_seed
+        for n in [*range(301), 2000]:
+            d = build_descriptor(eig, g.num_edges, bipartite, n)
+            assert _band_strings(d) == [str(band.multiplicity) for band in d.exceptional]
+
+    @given(connected_graphs(max_vertices=9, max_extra_edges=5), st.integers(0, 300))
+    @settings(max_examples=30)
+    def test_equal_int_rendering_property(self, g, n):
+        d = descriptor_for(g, n)
+        assert _band_strings(d) == [str(band.multiplicity) for band in d.exceptional]
+
+    @pytest.mark.parametrize("name", sorted(corpus()))
+    def test_carried_bands_equal_closed_form(self, name):
+        # The carried counts against the closed forms N_{g-1} and
+        # (3^(g-1) + 1)/2 * e0 - n0 (+1 at g = 1 for bipartite seeds).
+        g = corpus()[name]
+        n0, e0 = g.num_vertices, g.num_edges
+        d = descriptor_for(g, 300)
+        for gen in range(1, 301):
+            three_halves, unit = d.exceptional[2 * gen - 2 : 2 * gen]
+            assert three_halves.multiplicity == predicted_counts(n0, e0, gen - 1)[0]
+            bipartite_fix = int(gen == 1 and d.bipartite_seed)
+            assert unit.multiplicity == new_unit_multiplicity(n0, e0, gen) + bipartite_fix
 
 
 class TestExpansionCap:
