@@ -64,23 +64,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp: argparse.ArgumentParser, *, with_n: bool, default_format: str,
-                   n_flags: tuple[str, ...] = ("-n", "--iterations")) -> None:
+                   n_flags: tuple[str, ...] = ("-n", "--iterations"),
+                   with_tol: bool = False, with_cap: bool = False) -> None:
         sp.add_argument("input", type=Path, help="edge-list file ('u v' per line)")
         if with_n:
             sp.add_argument(*n_flags, dest="n", type=int, default=1)
-        sp.add_argument("--tol", dest="tolerance", type=float, default=1e-8)
+        if with_tol:
+            sp.add_argument("--tol", dest="tolerance", type=float,
+                            default=CliConfig.tolerance)
         sp.add_argument("--format", dest="output_format", choices=_FORMATS,
                         default=default_format)
-        sp.add_argument("--cap", dest="explicit_cap", type=int,
-                        default=DEFAULT_VERTEX_CAP,
-                        help="explicit-construction vertex cap")
+        if with_cap:
+            sp.add_argument("--cap", dest="explicit_cap", type=int,
+                            default=DEFAULT_VERTEX_CAP,
+                            help="explicit-construction vertex cap")
         sp.add_argument("-o", "--output", dest="output_path", type=Path, default=None)
 
     sp = sub.add_parser("analyze", help="structural report for the input graph")
     add_common(sp, with_n=False, default_format="text")
 
     sp = sub.add_parser("triangulate", help="materialize the n-fold triangulation")
-    add_common(sp, with_n=True, default_format="text")
+    add_common(sp, with_n=True, default_format="text", with_cap=True)
 
     sp = sub.add_parser("spectrum", help="symbolic spectrum of the n-fold triangulation")
     add_common(sp, with_n=True, default_format="json")
@@ -100,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     add_common(sp, with_n=True, default_format="text",
-               n_flags=("-n", "--iterations", "--max-n"))
+               n_flags=("-n", "--iterations", "--max-n"), with_tol=True, with_cap=True)
     return parser
 
 
@@ -109,9 +113,9 @@ def config_from_args(args: argparse.Namespace) -> CliConfig:
         command=args.command,
         input_path=args.input,
         n=getattr(args, "n", 0),
-        tolerance=args.tolerance,
+        tolerance=getattr(args, "tolerance", CliConfig.tolerance),
         output_format=args.output_format,
-        explicit_cap=args.explicit_cap,
+        explicit_cap=getattr(args, "explicit_cap", DEFAULT_VERTEX_CAP),
         output_path=args.output_path,
         expand=getattr(args, "expand", False),
     )
@@ -275,7 +279,7 @@ def _report_row(report: InvariantReport) -> list[object]:
 
 
 def _run_invariants(g: Graph, config: CliConfig) -> str:
-    result = verify_all(g, config.n, tol=config.tolerance, materialize_cap=0)
+    result = verify_all(g, config.n, materialize_cap=0)
     if config.output_format == "json":
         return _json_doc({"reports": [r.to_json_dict() for r in result.reports]})
     if config.output_format == "csv":

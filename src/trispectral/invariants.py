@@ -24,7 +24,6 @@ from typing import Mapping, Union
 
 from .graph import Graph, analyze, predicted_counts, triangulate
 from .numeric import (
-    DEFAULT_EIG_TOL,
     eigenvalues_sym,
     kf_star_direct,
     normalized_laplacian,
@@ -37,6 +36,9 @@ IDENTITY_RTOL = 1e-12
 
 # Largest count rendered as a decimal string; factored form beyond.
 DECIMAL_DIGIT_CAP = 100_000
+
+# Largest count materialized as a plain int.
+INT_DIGIT_CAP = 10**7
 
 # Largest materialized graph for the dense oracle routes of `verify_all`.  The
 # float oracles (eigensolve, pseudoinverse) cost O(N^3) time and O(N^2) memory.
@@ -95,15 +97,15 @@ class SpanningTreeCount:
             raise OverflowError(f"count has about {digits} digits, above the {max_digits} limit")
         return digits
 
-    def to_int(self, max_digits: int = 10**7) -> int:
-        self._require_digits(max_digits)
+    def to_int(self) -> int:
+        self._require_digits(INT_DIGIT_CAP)
         return 3**self.pow3 * 2**self.pow2 * self.seed_count
 
     __int__ = to_int
 
-    def decimal(self, max_digits: int = DECIMAL_DIGIT_CAP) -> str:
-        """Exact decimal string; raises OverflowError beyond max_digits."""
-        digits = self._require_digits(max_digits)
+    def decimal(self) -> str:
+        """Exact decimal string; raises OverflowError beyond DECIMAL_DIGIT_CAP."""
+        digits = self._require_digits(DECIMAL_DIGIT_CAP)
         with localcontext(Context(prec=digits + 10, Emax=MAX_EMAX, traps=[Inexact, Rounded])):
             return str(Decimal(3) ** self.pow3 * Decimal(2) ** self.pow2 * self.seed_count)
 
@@ -229,8 +231,8 @@ class SeedData:
     spanning_trees: int  # matrix-tree determinant
 
 
-def seed_data(g: Graph, tol: float = DEFAULT_EIG_TOL) -> SeedData:
-    eigenvalues = eigenvalues_sym(normalized_laplacian(g), tol=tol).eigenvalues
+def seed_data(g: Graph) -> SeedData:
+    eigenvalues = eigenvalues_sym(normalized_laplacian(g)).eigenvalues
     return SeedData(
         eigenvalues=eigenvalues,
         bipartite=analyze(g).bipartite,
@@ -300,7 +302,6 @@ def verify_all(
     max_n: int,
     tol: float = 1e-8,
     materialize_cap: int = VERIFY_MATERIALIZE_CAP,
-    eig_tol: float = DEFAULT_EIG_TOL,
 ) -> VerificationResult:
     """Cross-validate every invariant by all available routes for n <= max_n.
 
@@ -316,7 +317,7 @@ def verify_all(
         raise ValueError("max_n must be nonnegative")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    seed = seed_data(g, tol=eig_tol)
+    seed = seed_data(g)
     n0, e0 = g.num_vertices, g.num_edges
     reports: list[InvariantReport] = []
     failures: list[str] = []
@@ -337,7 +338,7 @@ def verify_all(
             )
             if materialized is not None and vertices <= materialize_cap:
                 materialized = triangulate(materialized, cap=materialize_cap)
-                oracle = seed_data(materialized, tol=eig_tol)
+                oracle = seed_data(materialized)
             else:
                 materialized = oracle = None
         closed = (

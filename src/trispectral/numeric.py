@@ -91,23 +91,22 @@ def normalized_laplacian(g: Graph) -> SymmetricMatrix:
     return SymmetricMatrix(m)
 
 
-def eigenvalues_sym(m: SymmetricMatrix, tol: float = DEFAULT_EIG_TOL) -> EigenResult:
-    """All eigenvalues of a symmetric matrix, ascending, with residual <= tol.
+def eigenvalues_sym(m: SymmetricMatrix) -> EigenResult:
+    """All eigenvalues of a symmetric matrix, ascending, with residual <=
+    DEFAULT_EIG_TOL.
 
     Deterministic for fixed input.  Raises EigensolverError when the
     decomposition fails to converge or the residual exceeds the tolerance.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     a = m.entries
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigendecomposition did not converge: {exc}") from exc
     residual = float(np.abs(a @ v - v * w).max())
-    if residual > tol:
+    if residual > DEFAULT_EIG_TOL:
         raise EigensolverError(
-            f"achieved residual {residual:.3e} exceeds tolerance {tol:.1e}"
+            f"achieved residual {residual:.3e} exceeds tolerance {DEFAULT_EIG_TOL:.1e}"
         )
     return EigenResult(tuple(float(x) for x in w), residual)
 

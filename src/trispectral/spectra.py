@@ -9,6 +9,11 @@ O(n + seed size), independent of the iterated graph's exponential vertex
 count.  Multiplicities are exact big integers, carried by addition (N += E,
 E *= 3) with no per-generation power and printed through exact decimals; the
 exceptional values are dyadic rationals and carry exactly in floating point.
+
+The descriptor stores the bands as one flat tuple of counts, two per
+generation: entry 2g - 2 is generation g's count of 3/2s and entry 2g - 1 its
+count of 1s, so entry i belongs to generation i // 2 + 1 and takes its value
+from the parity of i.
 """
 
 from __future__ import annotations
@@ -18,12 +23,11 @@ import math
 import sys
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
-from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .graph import Graph, analyze
-from .numeric import DEFAULT_EIG_TOL, eigenvalues_sym, normalized_laplacian
+from .numeric import eigenvalues_sym, normalized_laplacian
 
 DEFAULT_EXPANSION_CAP = 10**6
 
@@ -31,25 +35,13 @@ ZERO_CLAMP = 1e-9  # seed eigenvalues this close to 0 are the kernel value
 TWO_CLAMP = 1e-6  # bipartite seeds: the top eigenvalue this close to 2 is the dropped 2
 SEED_MATCH_TOL = 1e-9
 
+# The two values every generation injects, in band order, and their labels.
+EXCEPTIONAL_VALUES = (Fraction(3, 2), Fraction(1))
+_EXCEPTIONAL_LABELS = ("3/2", "1")
+
 
 class ExpansionCapError(RuntimeError):
     """Materializing the spectrum would exceed the configured cap."""
-
-
-class ExceptionalClass(Enum):
-    """Eigenvalue classes injected fresh at every triangulation generation."""
-
-    THREE_HALVES = Fraction(3, 2)
-    ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class ExceptionalBand:
-    """Multiplicity of one exceptional class introduced at one generation."""
-
-    generation: int
-    eigenvalue_class: ExceptionalClass
-    multiplicity: int
 
 
 @dataclass(frozen=True)
@@ -59,7 +51,9 @@ class SpectrumDescriptor:
     ``seed_eigs`` stores the full seed spectrum grouped into (value,
     multiplicity) classes; when ``bipartite_seed`` is set and n >= 1 one copy
     of the eigenvalue 2 is dropped from the seed part (see
-    :meth:`effective_seed`).
+    :meth:`effective_seed`).  ``exceptional`` holds 2n band counts: entry i
+    counts the value ``EXCEPTIONAL_VALUES[i % 2]`` (3/2, then 1) introduced
+    at generation i // 2 + 1.
     """
 
     n: int
@@ -67,7 +61,7 @@ class SpectrumDescriptor:
     e0: int
     bipartite_seed: bool
     seed_eigs: tuple[tuple[float, int], ...]
-    exceptional: tuple[ExceptionalBand, ...]
+    exceptional: tuple[int, ...]
 
     def effective_seed(self) -> tuple[tuple[float, int], ...]:
         """Seed classes actually present at depth n (the 2 removed once)."""
@@ -87,9 +81,7 @@ class SpectrumDescriptor:
 
     @property
     def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.effective_seed()) + sum(
-            band.multiplicity for band in self.exceptional
-        )
+        return sum(m for _, m in self.effective_seed()) + sum(self.exceptional)
 
     def eigenvalue_classes(self) -> list[tuple[float, int]]:
         """All distinct eigenvalue classes as (value, exact multiplicity).
@@ -100,8 +92,8 @@ class SpectrumDescriptor:
         """
         classes = [(value, mult, self.n) for value, mult in self.effective_seed()]
         classes += [
-            (float(band.eigenvalue_class.value), band.multiplicity, self.n - band.generation)
-            for band in self.exceptional
+            (float(EXCEPTIONAL_VALUES[i % 2]), mult, self.n - i // 2 - 1)
+            for i, mult in enumerate(self.exceptional)
         ]
         out: list[tuple[float, int]] = []
         for base, mult, halvings in classes:
@@ -121,20 +113,19 @@ class SpectrumDescriptor:
             "bipartite_seed": self.bipartite_seed,
             "seed_eigs": [[value, mult] for value, mult in self.seed_eigs],
             "exceptional": [
-                [band.generation, str(band.eigenvalue_class.value), mult]
-                for band, mult in zip(self.exceptional, self._band_multiplicity_strings())
+                [i // 2 + 1, _EXCEPTIONAL_LABELS[i % 2], mult]
+                for i, mult in enumerate(self._band_multiplicity_strings())
             ],
         }
 
     def _band_multiplicity_strings(self) -> list[str]:
-        """``str(band.multiplicity)`` for every band, from the same rule walked
-        over exact decimals: linear in the digits, where int-to-str is quadratic."""
+        """``str(count)`` for every band count, from the same rule walked over
+        exact decimals: linear in the digits, where int-to-str is quadratic."""
         out: list[str] = []
         with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])):
             vertices, edges = Decimal(self.n0), Decimal(self.e0)
             for g in range(1, self.n + 1):
-                bands = generation_bands(self.bipartite_seed, g, vertices, edges)
-                out += (str(band.multiplicity) for band in bands)
+                out += map(str, generation_bands(self.bipartite_seed, g, vertices, edges))
                 vertices += edges
                 edges *= 3
         return out
@@ -142,19 +133,18 @@ class SpectrumDescriptor:
 
 def generation_bands(
     bipartite_seed: bool, g: int, prev_vertices: int, prev_edges: int
-) -> tuple[ExceptionalBand, ExceptionalBand]:
-    """The bands of generation g >= 1: 3/2 once per vertex of the depth-(g-1)
-    graph, then 1s, E_{g-1} - N_{g-1} of them (plus a bipartite seed's dropped
-    2, restored at g = 1; negative only for an invalid seed).  The counts are
-    ints, or exact Decimals when rendering."""
+) -> tuple[int, int]:
+    """The band counts of generation g >= 1: 3/2 once per vertex of the
+    depth-(g-1) graph, then 1s, E_{g-1} - N_{g-1} of them (plus a bipartite
+    seed's dropped 2, restored at g = 1; negative only for an invalid seed).
+    The counts are ints, or exact Decimals when rendering."""
     unit = prev_edges - prev_vertices + int(g == 1 and bipartite_seed)
     if unit < 0:
         raise RuntimeError(
             f"internal inconsistency: negative eigenvalue-1 multiplicity {unit} "
             f"at generation {g} (seed not a valid connected graph?)"
         )
-    three_halves = ExceptionalBand(g, ExceptionalClass.THREE_HALVES, prev_vertices)
-    return three_halves, ExceptionalBand(g, ExceptionalClass.ONE, unit)
+    return prev_vertices, unit
 
 
 def _check_total(total: int, n0: int, e0: int, edges: int) -> None:
@@ -218,11 +208,11 @@ def build_descriptor(
         raise ValueError("seed needs at least one edge")
     n0 = len(seed_eigenvalues)
     seed = _seed_classes(seed_eigenvalues, bipartite_seed)
-    bands: list[ExceptionalBand] = []
+    bands: list[int] = []
     prev_vertices = n0
     edges = e0
     for g in range(1, n + 1):
-        bands.extend(generation_bands(bipartite_seed, g, prev_vertices, edges))
+        bands += generation_bands(bipartite_seed, g, prev_vertices, edges)
         prev_vertices += edges
         edges *= 3
     descriptor = SpectrumDescriptor(
@@ -237,20 +227,21 @@ def build_descriptor(
     return descriptor
 
 
-def descriptor_for(g: Graph, n: int, tol: float = DEFAULT_EIG_TOL) -> SpectrumDescriptor:
+def descriptor_for(g: Graph, n: int) -> SpectrumDescriptor:
     """Convenience constructor: analyze the seed, solve its spectrum, unroll."""
     info = analyze(g)
-    eig = eigenvalues_sym(normalized_laplacian(g), tol=tol)
+    eig = eigenvalues_sym(normalized_laplacian(g))
     return build_descriptor(eig.eigenvalues, g.num_edges, info.bipartite, n)
 
 
-def expand_descriptor(
-    d: SpectrumDescriptor, cap: int = DEFAULT_EXPANSION_CAP
-) -> list[float]:
-    """Materialize the full sorted eigenvalue multiset (size-capped)."""
+def expand_descriptor(d: SpectrumDescriptor) -> list[float]:
+    """Materialize the full sorted eigenvalue multiset (at most
+    DEFAULT_EXPANSION_CAP values)."""
     total = d.total_multiplicity
-    if total > cap:
-        raise ExpansionCapError(f"expansion needs {total} values, cap is {cap}")
+    if total > DEFAULT_EXPANSION_CAP:
+        raise ExpansionCapError(
+            f"expansion needs {total} values, cap is {DEFAULT_EXPANSION_CAP}"
+        )
     values: list[float] = []
     for value, mult in d.eigenvalue_classes():
         values.extend([value] * mult)
@@ -266,9 +257,9 @@ def reciprocal_sum(d: SpectrumDescriptor) -> tuple[Fraction, float]:
     O(n) rational operations; :func:`reciprocal_sums` carries it depth by depth.
     """
     exceptional = Fraction(0)
-    for band in d.exceptional:
-        weight = band.multiplicity * (1 << (d.n - band.generation))
-        exceptional += weight / band.eigenvalue_class.value
+    for i, mult in enumerate(d.exceptional):
+        weight = mult * (1 << (d.n - i // 2 - 1))
+        exceptional += weight / EXCEPTIONAL_VALUES[i % 2]
     scale = 2.0**d.n
     seed_part = math.fsum(
         mult * scale / value for value, mult in d.effective_seed() if value != 0.0
@@ -296,28 +287,8 @@ def reciprocal_sums(
     total, edges = d.total_multiplicity, 3 * e0  # N_1, E_1
     for n in itertools.count(2):
         three_halves, unit = generation_bands(bipartite_seed, n, total, edges)
-        total += three_halves.multiplicity + unit.multiplicity
+        total += three_halves + unit
         edges *= 3
         _check_total(total, d.n0, e0, edges)
-        thirds = 2 * thirds + 2 * three_halves.multiplicity + 3 * unit.multiplicity
+        thirds = 2 * thirds + 2 * three_halves + 3 * unit
         yield Fraction(thirds, 3), math.ldexp(seed_part, n - 1)
-
-
-def multiplicity_of(
-    d: SpectrumDescriptor, value: Union[Fraction, float, int]
-) -> int:
-    """Exact multiplicity of a queried dyadic value.
-
-    Exceptional classes match exactly in rational arithmetic; seed classes
-    within SEED_MATCH_TOL at seed scale (the query times 2^n), zero only 0.
-    """
-    q = value if isinstance(value, Fraction) else Fraction(value)
-    total = 0
-    for band in d.exceptional:
-        if band.eigenvalue_class.value / (1 << (d.n - band.generation)) == q:
-            total += band.multiplicity
-    scaled = q * 2**d.n
-    for seed_value, mult in d.effective_seed():
-        if abs(Fraction(seed_value) - scaled) <= (SEED_MATCH_TOL if seed_value else 0):
-            total += mult
-    return total

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Union
 
 from hypothesis import strategies as st
 
 from trispectral.graph import Graph, generate
+from trispectral.spectra import EXCEPTIONAL_VALUES, SEED_MATCH_TOL, SpectrumDescriptor
 
 
 def corpus() -> dict[str, Graph]:
@@ -32,6 +34,24 @@ def new_unit_multiplicity(n0: int, e0: int, g: int) -> int:
     if g < 1:
         raise ValueError("generation must be >= 1")
     return (3 ** (g - 1) + 1) // 2 * e0 - n0
+
+
+def multiplicity_of(d: SpectrumDescriptor, value: Union[Fraction, float, int]) -> int:
+    """Exact multiplicity of a queried dyadic value in a descriptor.
+
+    Exceptional classes match exactly in rational arithmetic; seed classes
+    within SEED_MATCH_TOL at seed scale (the query times 2^n), zero only 0.
+    """
+    q = value if isinstance(value, Fraction) else Fraction(value)
+    total = 0
+    for i, mult in enumerate(d.exceptional):
+        if EXCEPTIONAL_VALUES[i % 2] / (1 << (d.n - i // 2 - 1)) == q:
+            total += mult
+    scaled = q * 2**d.n
+    for seed_value, mult in d.effective_seed():
+        if abs(Fraction(seed_value) - scaled) <= (SEED_MATCH_TOL if seed_value else 0):
+            total += mult
+    return total
 
 
 def kemeny_closed_fraction(k0: float, n0: int, e0: int, n: int) -> float:

@@ -121,8 +121,7 @@ class TestSpectrum:
         d = descriptor_for(parse_edge_list(seed), n)
         doc = d.to_json_dict()
         doc["exceptional"] = [
-            [b.generation, str(b.eigenvalue_class.value), str(b.multiplicity)]
-            for b in d.exceptional
+            [i // 2 + 1, ("3/2", "1")[i % 2], str(mult)] for i, mult in enumerate(d.exceptional)
         ]
         if expand:
             doc["expanded"] = expand_descriptor(d)
@@ -198,6 +197,20 @@ class TestErrorPaths:
         path = tmp_path / "disc.edges"
         path.write_text("0 1\n2 3\n")
         assert main(["spectrum", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("analyze", "--tol"), ("triangulate", "--tol"), ("spectrum", "--tol"),
+         ("invariants", "--tol"), ("analyze", "--cap"), ("spectrum", "--cap"),
+         ("invariants", "--cap")],
+    )
+    def test_flag_the_command_does_not_read_is_rejected(self, k3_file, capsys, command, flag):
+        # --tol is read by verify only, --cap by triangulate and verify only.
+        value = "1e-3" if flag == "--tol" else "100"
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(k3_file), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestDeterminism:

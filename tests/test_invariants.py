@@ -223,8 +223,6 @@ class TestSpanningTreeCount:
         assert count.digits10() > DECIMAL_DIGIT_CAP
         with pytest.raises(OverflowError, match="above the 100000 limit"):
             count.decimal()
-        with pytest.raises(OverflowError, match="above the 20 limit"):
-            SpanningTreeCount(50, 0, 1).decimal(max_digits=20)
         assert count.json_value() == count.factored()
 
     def test_factored_rendering_for_huge_values(self):

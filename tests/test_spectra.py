@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_graphs, corpus, new_unit_multiplicity
+from helpers import connected_graphs, corpus, multiplicity_of, new_unit_multiplicity
 from trispectral.graph import generate, iterate_triangulation, predicted_counts
 from trispectral.numeric import eigenvalues_sym, normalized_laplacian
 from trispectral.spectra import (
@@ -16,7 +16,6 @@ from trispectral.spectra import (
     build_descriptor,
     descriptor_for,
     expand_descriptor,
-    multiplicity_of,
     reciprocal_sum,
     reciprocal_sums,
 )
@@ -115,10 +114,11 @@ class TestSeparation:
                 seed_max = max(
                     v * 0.5**n for v, _ in d.effective_seed()
                 )
+                # Band i: value 3/2 (even i) or 1 (odd i), generation i // 2 + 1.
                 exceptional_min = min(
-                    float(b.eigenvalue_class.value) * 0.5 ** (n - b.generation)
-                    for b in d.exceptional
-                    if b.multiplicity > 0
+                    (1.5 if i % 2 == 0 else 1.0) * 0.5 ** (n - i // 2 - 1)
+                    for i, mult in enumerate(d.exceptional)
+                    if mult > 0
                 )
                 assert seed_max < exceptional_min
 
@@ -225,13 +225,13 @@ class TestBandMultiplicityStrings:
         bipartite = descriptor_for(g, 0).bipartite_seed
         for n in [*range(301), 2000]:
             d = build_descriptor(eig, g.num_edges, bipartite, n)
-            assert _band_strings(d) == [str(band.multiplicity) for band in d.exceptional]
+            assert _band_strings(d) == [str(mult) for mult in d.exceptional]
 
     @given(connected_graphs(max_vertices=9, max_extra_edges=5), st.integers(0, 300))
     @settings(max_examples=30)
     def test_equal_int_rendering_property(self, g, n):
         d = descriptor_for(g, n)
-        assert _band_strings(d) == [str(band.multiplicity) for band in d.exceptional]
+        assert _band_strings(d) == [str(mult) for mult in d.exceptional]
 
     @pytest.mark.parametrize("name", sorted(corpus()))
     def test_carried_bands_equal_closed_form(self, name):
@@ -242,9 +242,20 @@ class TestBandMultiplicityStrings:
         d = descriptor_for(g, 300)
         for gen in range(1, 301):
             three_halves, unit = d.exceptional[2 * gen - 2 : 2 * gen]
-            assert three_halves.multiplicity == predicted_counts(n0, e0, gen - 1)[0]
+            assert three_halves == predicted_counts(n0, e0, gen - 1)[0]
             bipartite_fix = int(gen == 1 and d.bipartite_seed)
-            assert unit.multiplicity == new_unit_multiplicity(n0, e0, gen) + bipartite_fix
+            assert unit == new_unit_multiplicity(n0, e0, gen) + bipartite_fix
+
+    @pytest.mark.parametrize("name", sorted(corpus()))
+    def test_band_layout_is_two_ints_per_generation(self, name):
+        # perfbench's tracer counts len(d.exceptional) as the bands built.
+        g = corpus()[name]
+        eig = eigenvalues_sym(normalized_laplacian(g)).eigenvalues
+        bipartite = descriptor_for(g, 0).bipartite_seed
+        for n in range(301):
+            d = build_descriptor(eig, g.num_edges, bipartite, n)
+            assert len(d.exceptional) == 2 * n
+            assert all(type(mult) is int for mult in d.exceptional)
 
 
 class TestExpansionCap:
