@@ -1,8 +1,9 @@
 """Command-line front end: analyze, triangulate, spectrum, invariants, verify.
 
 Human-readable text goes to stdout, diagnostics to stderr; exit codes are the
-machine contract (0 ok/pass, 1 verification failure, 2 input error, 3 cap
-exceeded).  Output under --format json is a single JSON document and is
+machine contract (0 ok/pass, 1 verification failure, also when the routes
+behind an `invariants` table disagree, 2 input, output or double-range error,
+3 cap exceeded).  Output under --format json is a single JSON document and is
 byte-identical across repeated runs on identical input.
 """
 
@@ -12,10 +13,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graph import (
     DEFAULT_VERTEX_CAP,
@@ -33,24 +34,17 @@ from .spectra import ExpansionCapError, descriptor_for, expand_descriptor
 _FORMATS = ("json", "csv", "text")
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    input_path: Path
-    n: int = 1
-    tolerance: float = 1e-8
-    output_format: str = "text"
-    explicit_cap: int = DEFAULT_VERTEX_CAP
-    output_path: Path | None = None
-    expand: bool = False
+def _limited(convert: Callable[[str], float], ok: Callable[[float], bool], limit: str):
+    """An argparse type: ``convert``, then reject a value outside ``limit``."""
 
-    def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.n < 0:
-            raise ValueError("iteration count must be nonnegative")
-        if self.explicit_cap < 2:
-            raise ValueError("explicit-construction cap must be at least 2")
+    def parse(text: str) -> float:
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {limit}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" names it
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,39 +57,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp: argparse.ArgumentParser, *, with_n: bool, default_format: str,
-                   n_flags: tuple[str, ...] = ("-n", "--iterations"),
-                   with_tol: bool = False, with_cap: bool = False) -> None:
+    def option(*flags: str, **spec: object) -> tuple[tuple[str, ...], dict]:
+        return flags, spec
+
+    # Each command lists its options in the order --help prints them.
+    def command(name: str, handler: Callable, *options: tuple, **kwargs: str) -> None:
+        sp = sub.add_parser(name, **kwargs)
+        sp.set_defaults(handler=handler)
         sp.add_argument("input", type=Path, help="edge-list file ('u v' per line)")
-        if with_n:
-            sp.add_argument(*n_flags, dest="n", type=int, default=1)
-        if with_tol:
-            sp.add_argument("--tol", dest="tolerance", type=float,
-                            default=CliConfig.tolerance)
-        sp.add_argument("--format", dest="output_format", choices=_FORMATS,
-                        default=default_format)
-        if with_cap:
-            sp.add_argument("--cap", dest="explicit_cap", type=int,
-                            default=DEFAULT_VERTEX_CAP,
-                            help="explicit-construction vertex cap")
-        sp.add_argument("-o", "--output", dest="output_path", type=Path, default=None)
+        for flags, spec in options:
+            sp.add_argument(*flags, **spec)
 
-    sp = sub.add_parser("analyze", help="structural report for the input graph")
-    add_common(sp, with_n=False, default_format="text")
+    n_spec = dict(dest="n", type=_limited(int, lambda n: n >= 0, ">= 0"), default=1)
+    depth = option("-n", "--iterations", **n_spec)
+    formats = dict(dest="output_format", choices=_FORMATS)
+    text = option("--format", default="text", **formats)
+    cap = option("--cap", dest="explicit_cap", type=_limited(int, lambda c: c >= 2, ">= 2"),
+                 default=DEFAULT_VERTEX_CAP, help="explicit-construction vertex cap")
+    output = option("-o", "--output", dest="output_path", type=Path, default=None)
+    tol = option("--tol", dest="tolerance", default=1e-8, type=_limited(
+        float, lambda t: t > 0 and math.isfinite(t), "a finite number > 0"))
 
-    sp = sub.add_parser("triangulate", help="materialize the n-fold triangulation")
-    add_common(sp, with_n=True, default_format="text", with_cap=True)
-
-    sp = sub.add_parser("spectrum", help="symbolic spectrum of the n-fold triangulation")
-    add_common(sp, with_n=True, default_format="json")
-    sp.add_argument("--expand", action="store_true",
-                    help="also materialize the full sorted eigenvalue multiset")
-
-    sp = sub.add_parser("invariants", help="invariant table for depths 0..n")
-    add_common(sp, with_n=True, default_format="text")
-
-    sp = sub.add_parser(
+    command("analyze", _run_analyze, text, output,
+            help="structural report for the input graph")
+    command("triangulate", _run_triangulate, depth, text, cap, output,
+            help="materialize the n-fold triangulation")
+    command("spectrum", _run_spectrum, depth, option("--format", default="json", **formats),
+            output, option("--expand", action="store_true",
+                           help="also materialize the full sorted eigenvalue multiset"),
+            help="symbolic spectrum of the n-fold triangulation")
+    command("invariants", _run_invariants, depth, text, output,
+            help="invariant table for depths 0..n")
+    command(
         "verify",
+        _run_verify,
+        option("-n", "--iterations", "--max-n", **n_spec), tol, text, cap, output,
         help="cross-validate all invariant routes for depths 0..n",
         description=(
             "Cross-validate all invariant routes for depths 0..n.  The dense "
@@ -103,28 +99,17 @@ def build_parser() -> argparse.ArgumentParser:
             f"min(--cap, {VERIFY_MATERIALIZE_CAP}) vertices."
         ),
     )
-    add_common(sp, with_n=True, default_format="text",
-               n_flags=("-n", "--iterations", "--max-n"), with_tol=True, with_cap=True)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        command=args.command,
-        input_path=args.input,
-        n=getattr(args, "n", 0),
-        tolerance=getattr(args, "tolerance", CliConfig.tolerance),
-        output_format=args.output_format,
-        explicit_cap=getattr(args, "explicit_cap", DEFAULT_VERTEX_CAP),
-        output_path=args.output_path,
-        expand=getattr(args, "expand", False),
-    )
-
-
-def run(config: CliConfig) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        text, status = _execute(config)
-        _emit(text, config.output_path)
+        text, status = args.handler(parse_edge_list(args.input.read_text()), args)
+        if args.output_path is None:
+            sys.stdout.write(text)
+        else:
+            args.output_path.write_text(text)
     except (GraphInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -145,42 +130,6 @@ def run(config: CliConfig) -> int:
     return status
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return run(config)
-
-
-def _emit(text: str, output_path: Path | None) -> None:
-    if output_path is None:
-        sys.stdout.write(text)
-    else:
-        output_path.write_text(text)
-
-
-def _load_graph(config: CliConfig) -> Graph:
-    return parse_edge_list(config.input_path.read_text())
-
-
-def _execute(config: CliConfig) -> tuple[str, int]:
-    g = _load_graph(config)
-    if config.command == "analyze":
-        return _run_analyze(g, config), 0
-    if config.command == "triangulate":
-        return _run_triangulate(g, config), 0
-    if config.command == "spectrum":
-        return _run_spectrum(g, config), 0
-    if config.command == "invariants":
-        return _run_invariants(g, config), 0
-    if config.command == "verify":
-        return _run_verify(g, config)
-    raise ValueError(f"unknown command {config.command!r}")
-
-
 def _json_doc(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -193,7 +142,7 @@ def _csv_doc(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return buf.getvalue()
 
 
-def _run_analyze(g: Graph, config: CliConfig) -> str:
+def _run_analyze(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
     info = analyze(g)
     fields = {
         "n_vertices": info.n_vertices,
@@ -203,45 +152,44 @@ def _run_analyze(g: Graph, config: CliConfig) -> str:
         "min_degree": info.min_degree,
         "max_degree": info.max_degree,
     }
-    if config.output_format == "json":
-        return _json_doc(fields)
-    if config.output_format == "csv":
-        return _csv_doc(list(fields), [list(fields.values())])
-    return "".join(f"{key}: {value}\n" for key, value in fields.items())
+    if args.output_format == "json":
+        return _json_doc(fields), 0
+    if args.output_format == "csv":
+        return _csv_doc(list(fields), [list(fields.values())]), 0
+    return "".join(f"{key}: {value}\n" for key, value in fields.items()), 0
 
 
-def _run_triangulate(g: Graph, config: CliConfig) -> str:
-    tg = iterate_triangulation(g, config.n, cap=config.explicit_cap)
-    if config.output_format == "json":
-        return _json_doc(
-            {"num_vertices": tg.num_vertices, "edges": [list(e) for e in tg.edges]}
-        )
-    if config.output_format == "csv":
-        return _csv_doc(["u", "v"], [list(e) for e in tg.edges])
-    return format_edge_list(tg)
+def _run_triangulate(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
+    tg = iterate_triangulation(g, args.n, cap=args.explicit_cap)
+    if args.output_format == "json":
+        doc = {"num_vertices": tg.num_vertices, "edges": [list(e) for e in tg.edges]}
+        return _json_doc(doc), 0
+    if args.output_format == "csv":
+        return _csv_doc(["u", "v"], [list(e) for e in tg.edges]), 0
+    return format_edge_list(tg), 0
 
 
 # One `exceptional` element as _json_doc lays it out (no string needs escaping).
 _BAND_JSON = '\n    [\n      %d,\n      "%s",\n      "%s"\n    ]'
 
 
-def _run_spectrum(g: Graph, config: CliConfig) -> str:
-    descriptor = descriptor_for(g, config.n)
+def _run_spectrum(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
+    descriptor = descriptor_for(g, args.n)
     doc = descriptor.to_json_dict()
-    if config.expand:
+    if args.expand:
         doc["expanded"] = expand_descriptor(descriptor)
-    if config.output_format == "json":
+    if args.output_format == "json":
         # Megabytes of digits: template the bands, skip the pure-Python indent encoder.
         if not doc["exceptional"]:
-            return _json_doc(doc)
+            return _json_doc(doc), 0
         head, _, tail = _json_doc({**doc, "exceptional": []}).partition('"exceptional": []')
         items = ",".join(_BAND_JSON % tuple(band) for band in doc["exceptional"])
-        return "".join((head, '"exceptional": [', items, "\n  ]", tail))
+        return "".join((head, '"exceptional": [', items, "\n  ]", tail)), 0
     values = [value for value, _ in descriptor.eigenvalue_classes()]
     mults = [str(m) for _, m in descriptor.effective_seed()] + [b[2] for b in doc["exceptional"]]
     classes = sorted(zip(values, mults), key=lambda pair: pair[0])
-    if config.output_format == "csv":
-        return _csv_doc(["value", "multiplicity"], classes)
+    if args.output_format == "csv":
+        return _csv_doc(["value", "multiplicity"], classes), 0
     lines = [
         f"depth: {descriptor.n}",
         f"seed: {descriptor.n0} vertices, {descriptor.e0} edges, "
@@ -250,9 +198,9 @@ def _run_spectrum(g: Graph, config: CliConfig) -> str:
         "classes (value x multiplicity):",
     ]
     lines.extend(f"  {value!r} x {mult}" for value, mult in classes)
-    if config.expand:
+    if args.expand:
         lines.append("expanded: " + " ".join(repr(v) for v in doc["expanded"]))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", 0
 
 
 _REPORT_COLUMNS = (
@@ -278,27 +226,30 @@ def _report_row(report: InvariantReport) -> list[object]:
     ]
 
 
-def _run_invariants(g: Graph, config: CliConfig) -> str:
-    result = verify_all(g, config.n, materialize_cap=0)
-    if config.output_format == "json":
-        return _json_doc({"reports": [r.to_json_dict() for r in result.reports]})
-    if config.output_format == "csv":
-        return _csv_doc(_REPORT_COLUMNS, [_report_row(r) for r in result.reports])
+def _run_invariants(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
+    result = verify_all(g, args.n, materialize_cap=0)
+    for failure in result.failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    status = 0 if result.passed else 1
+    if args.output_format == "json":
+        return _json_doc({"reports": [r.to_json_dict() for r in result.reports]}), status
+    if args.output_format == "csv":
+        return _csv_doc(_REPORT_COLUMNS, [_report_row(r) for r in result.reports]), status
     lines = ["\t".join(_REPORT_COLUMNS)]
     for report in result.reports:
         lines.append("\t".join(str(cell) for cell in _report_row(report)))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", status
 
 
-def _run_verify(g: Graph, config: CliConfig) -> tuple[str, int]:
+def _run_verify(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
     result = verify_all(
         g,
-        config.n,
-        tol=config.tolerance,
-        materialize_cap=min(config.explicit_cap, VERIFY_MATERIALIZE_CAP),
+        args.n,
+        tol=args.tolerance,
+        materialize_cap=min(args.explicit_cap, VERIFY_MATERIALIZE_CAP),
     )
     status = 0 if result.passed else 1
-    if config.output_format == "json":
+    if args.output_format == "json":
         doc = {
             "passed": result.passed,
             "tolerance": result.tolerance,
@@ -306,7 +257,7 @@ def _run_verify(g: Graph, config: CliConfig) -> tuple[str, int]:
             "reports": [r.to_json_dict() for r in result.reports],
         }
         return _json_doc(doc), status
-    if config.output_format == "csv":
+    if args.output_format == "csv":
         header = (
             "n",
             "kf_star_discrepancy",

@@ -91,6 +91,11 @@ class Graph:
             raise GraphInputError(
                 f"num_vertices={n} is below the largest label {max_label}"
             )
+        if n - 1 > len(canonical):  # before allocating n lists for a huge label
+            raise DisconnectedGraphError(
+                f"graph is disconnected: {n} vertices need at least {n - 1} edges, "
+                f"got {len(canonical)}"
+            )
         canonical.sort()
         adjacency: list[list[int]] = [[] for _ in range(n)]
         for u, v in canonical:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, Context, Decimal, Inexact, Rounded, localcontext
-from typing import Mapping, Union
+from typing import Mapping
 
 from .graph import Graph, analyze, predicted_counts, triangulate
 from .numeric import (
@@ -204,14 +204,12 @@ def spanning_trees_closed(nst0: int, n0: int, e0: int, n: int) -> SpanningTreeCo
 
 
 def spanning_trees_step(
-    prev: Union[SpanningTreeCount, int], n0: int, e0: int, n: int
+    prev: SpanningTreeCount, n0: int, e0: int, n: int
 ) -> SpanningTreeCount:
     """One recursion step: multiply the depth-(n-1) count by
     3^(N_{n-1} - 1) * 2^(N_{n-1} - 2*n0 + e0 + 1)."""
     if n < 1:
         raise ValueError("recursion step needs n >= 1")
-    if isinstance(prev, int):
-        prev = SpanningTreeCount(0, 0, prev)
     prev_vertices, _ = predicted_counts(n0, e0, n - 1)
     return SpanningTreeCount(
         prev.pow3 + prev_vertices - 1,
@@ -315,8 +313,8 @@ def verify_all(
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tolerance must be a finite positive number")
     seed = seed_data(g)
     n0, e0 = g.num_vertices, g.num_edges
     reports: list[InvariantReport] = []

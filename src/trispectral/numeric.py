@@ -62,18 +62,12 @@ class EigenResult:
     residual: float
 
 
-def adjacency_matrix(g: Graph) -> SymmetricMatrix:
-    a = np.zeros((g.num_vertices, g.num_vertices))
-    if g.edges:
-        us, vs = np.array(g.edges).T
-        a[us, vs] = 1.0
-        a[vs, us] = 1.0
-    return SymmetricMatrix(a)
-
-
 def combinatorial_laplacian(g: Graph) -> SymmetricMatrix:
     """Degree matrix minus adjacency matrix; row sums are exactly zero."""
-    m = -adjacency_matrix(g).entries.copy()
+    m = np.zeros((g.num_vertices, g.num_vertices))
+    us, vs = np.array(g.edges).T
+    m[us, vs] = -1.0
+    m[vs, us] = -1.0
     np.fill_diagonal(m, np.array(g.degrees, dtype=float))
     return SymmetricMatrix(m)
 

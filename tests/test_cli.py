@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from trispectral.cli import CliConfig, main
+import trispectral.invariants
+from trispectral.cli import main
 from trispectral.graph import parse_edge_list
 from trispectral.spectra import descriptor_for, expand_descriptor
 
@@ -29,13 +30,21 @@ def p3_file(tmp_path):
 
 
 class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CliConfig(command="spectrum", input_path=None, tolerance=0.0)
-        with pytest.raises(ValueError):
-            CliConfig(command="spectrum", input_path=None, n=-1)
-        with pytest.raises(ValueError):
-            CliConfig(command="spectrum", input_path=None, explicit_cap=1)
+    def test_validation(self, k3_file, capsys):
+        cases = [
+            (["spectrum", "-n", "-1"], "argument -n/--iterations: must be >= 0, got -1"),
+            (["verify", "--tol", "0"], "argument --tol: must be a finite number > 0, got 0"),
+            (["verify", "--tol", "nan"], "argument --tol: must be a finite number > 0, got nan"),
+            (["verify", "--tol", "inf"], "argument --tol: must be a finite number > 0, got inf"),
+            (["triangulate", "--cap", "1"], "argument --cap: must be >= 2, got 1"),
+        ]
+        for (command, *flags), message in cases:
+            with pytest.raises(SystemExit) as exc:
+                main([command, str(k3_file), *flags])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.rstrip().endswith(message)
 
 
 class TestAnalyze:
@@ -161,6 +170,23 @@ class TestInvariants:
         assert main(["invariants", str(k3_file), "-n", "1", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["reports"][1]["spanning_trees"] == "54"
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])  # JSON also prints every route's value
+    def test_route_disagreement_exits_one(self, k3_file, capsys, monkeypatch, fmt):
+        argv = ["invariants", str(k3_file), "-n", "3", "--format", fmt]
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        assert expected.err == ""
+        recursion = trispectral.invariants.kemeny_recursive
+        monkeypatch.setattr(trispectral.invariants, "kemeny_recursive",
+                            lambda *a: recursion(*a) * (1 + 1e-6))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == expected.out
+        fails = captured.err.splitlines()
+        assert len(fails) == 3  # depths 1-3
+        assert all(line.startswith("FAIL: n=") and "kemeny routes disagree" in line
+                   for line in fails)
 
 
 class TestVerify:

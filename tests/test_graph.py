@@ -55,6 +55,11 @@ class TestParseEdgeList:
         with pytest.raises(DisconnectedGraphError):
             parse_edge_list("0 1\n2 3")
 
+    def test_label_beyond_edge_count_rejected_by_count(self):
+        # Two edges cannot connect 10**6 + 1 vertices; no adjacency list is needed to say so.
+        with pytest.raises(DisconnectedGraphError, match="need at least 1000000 edges, got 2"):
+            Graph.from_edges([(0, 1), (1, 10**6)])
+
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
             parse_edge_list("")

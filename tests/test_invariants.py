@@ -402,5 +402,6 @@ class TestVerifyAll:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             verify_all(generate("complete", 3), -1)
-        with pytest.raises(ValueError):
-            verify_all(generate("complete", 3), 1, tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                verify_all(generate("complete", 3), 1, tol=tol)
