@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -211,6 +212,12 @@ def predicted_counts(n0: int, e0: int, n: int) -> tuple[int, int]:
     return n0 + (power - 1) // 2 * e0, power * e0
 
 
+def count_text(n: int) -> str:
+    """A count as message text: its decimal digits, or "about 10^k" past
+    13,000 bits, since str() refuses ints of more than 4,300 digits."""
+    return str(n) if n.bit_length() <= 13_000 else f"about 10^{math.floor(math.log10(n))}"
+
+
 def triangulate(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """One triangulation step: a new vertex per edge, joined to both endpoints.
 
@@ -237,7 +244,8 @@ def iterate_triangulation(g: Graph, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Gr
     final_vertices, _ = predicted_counts(g.num_vertices, g.num_edges, n)
     if final_vertices > cap:
         raise VertexCapExceededError(
-            f"{n} iterations need {final_vertices} vertices, explicit-construction cap is {cap}"
+            f"{n} iterations need {count_text(final_vertices)} vertices, "
+            f"explicit-construction cap is {cap}"
         )
     out = g
     for _ in range(n):

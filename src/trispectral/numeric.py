@@ -2,8 +2,8 @@
 
 Normalized and combinatorial Laplacians, an eigensolver with a residual
 contract, resistance distances through the Laplacian pseudoinverse, and the
-exact matrix-tree determinant by sparse exact elimination in minimum-degree
-order.
+exact matrix-tree determinant by sparse fraction-free elimination, in
+minimum-degree order, of integer rows over positive row denominators.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -97,7 +98,9 @@ def eigenvalues_sym(m: SymmetricMatrix) -> EigenResult:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigendecomposition did not converge: {exc}") from exc
-    residual = float(np.abs(a @ v - v * w).max())
+    r = a @ v
+    r -= v * w
+    residual = float(np.abs(r, out=r).max())
     if residual > DEFAULT_EIG_TOL:
         raise EigensolverError(
             f"achieved residual {residual:.3e} exceeds tolerance {DEFAULT_EIG_TOL:.1e}"
@@ -127,7 +130,9 @@ def resistance_distances(g: Graph) -> np.ndarray:
     np.divide(1.0, w, out=inv, where=w > cutoff)
     pinv = (v * inv) @ v.T
     diag = np.diag(pinv).copy()
-    r = diag[:, None] + diag[None, :] - pinv - pinv.T
+    r = diag[:, None] + diag[None, :]
+    r -= pinv
+    r -= pinv.T
     np.fill_diagonal(r, 0.0)
     return r
 
@@ -144,55 +149,59 @@ def spanning_trees_matrix_tree(g: Graph) -> int:
     """Exact spanning-tree count: determinant of the combinatorial Laplacian
     with the last row and column deleted, by sparse exact elimination.
 
-    The grounded Laplacian is stored as one dict of Fraction entries per row.
+    Each grounded-Laplacian row is a dict of integers over a denominator.
     Vertices are eliminated in greedy minimum-degree order, which on an
     iterated triangulation is a perfect elimination order with no fill outside
     the seed block.  The order comes from the current degrees alone, so the
     count does not depend on how the graph was built.
     """
     size = g.num_vertices - 1
-    rows = [{i: Fraction(g.degrees[i])} for i in range(size)]
+    rows = [{i: g.degrees[i]} for i in range(size)]
     for u, v in g.edges:
         if v < size:  # u < v, so u < size as well
-            rows[u][v] = rows[v][u] = Fraction(-1)
-    return _integer_determinant(rows)
+            rows[u][v] = rows[v][u] = -1
+    return _integer_determinant(rows, [1] * size)
 
 
-def _integer_determinant(rows: list[dict[int, Fraction]]) -> int:
-    """Determinant of a symmetric positive definite matrix whose determinant
-    is an integer, given as sparse rows that always hold the diagonal.
+def _integer_determinant(rows: list[dict[int, int]], den: list[int]) -> int:
+    """Integer determinant of a symmetric positive definite matrix: row i is
+    ``rows[i]`` over ``den[i] > 0``, sparse integers that hold the diagonal.
 
-    Symmetric elimination without pivoting, taking next the row with the
-    fewest entries (ties by index) from a lazily updated heap.  Consumes
-    ``rows``.  Raises NumericError on a pivot <= 0 or a non-integer product.
+    Fraction-free symmetric elimination without pivoting (after Bareiss),
+    fewest entries first (ties by index, lazy heap).  Consumes ``rows`` and
+    ``den``.  Raises NumericError on a pivot <= 0 or a non-integer product.
     """
     heap = [(len(row), i) for i, row in enumerate(rows)]
     heapq.heapify(heap)
-    done = [False] * len(rows)
     numerator = denominator = 1
     while heap:
         length, k = heapq.heappop(heap)
-        if done[k] or length != len(rows[k]):
-            continue  # stale heap entry
-        done[k] = True
-        row = rows[k]
+        if length != len(rows[k]):
+            continue  # stale heap entry; an eliminated row is left empty
+        row, rows[k] = rows[k], {}
         pivot = row.pop(k)
         if pivot <= 0:
             raise NumericError(
-                f"pivot {pivot} at vertex {k} is not positive: "
+                f"pivot {Fraction(pivot, den[k])} at vertex {k} is not positive: "
                 "the matrix is not positive definite"
             )
-        numerator *= pivot.numerator
-        denominator *= pivot.denominator
-        for i, a_ik in row.items():
+        common = gcd(pivot, den[k])
+        numerator *= pivot // common
+        denominator *= den[k] // common
+        content = gcd(pivot, *row.values())
+        for i in row:
             row_i = rows[i]
-            del row_i[k]
-            scale = a_ik / pivot
+            a_ik = row_i.pop(k)
+            h = pivot // gcd(pivot, a_ik * content)  # least integral scale
+            if h != 1:
+                row_i = {j: h * a_ij for j, a_ij in row_i.items()}
             for j, a_kj in row.items():
-                row_i[j] = row_i.get(j, 0) - scale * a_kj
+                row_i[j] = row_i.get(j, 0) - a_ik * h * a_kj // pivot  # exact division
+            if h != 1:
+                common = gcd(den[i] * h, *row_i.values())
+                den[i] = den[i] * h // common
+                rows[i] = row_i = {j: a_ij // common for j, a_ij in row_i.items()}
             heapq.heappush(heap, (len(row_i), i))
-    det = Fraction(numerator, denominator)
-    if det.denominator != 1:
-        raise NumericError(f"pivot product {det} is not an integer")
-    return det.numerator
-
+    if numerator % denominator:
+        raise NumericError(f"pivot product {Fraction(numerator, denominator)} is not an integer")
+    return numerator // denominator

@@ -26,7 +26,7 @@ from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, loca
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .graph import Graph, analyze
+from .graph import Graph, analyze, count_text
 from .numeric import eigenvalues_sym, normalized_laplacian
 
 DEFAULT_EXPANSION_CAP = 10**6
@@ -240,7 +240,7 @@ def expand_descriptor(d: SpectrumDescriptor) -> list[float]:
     total = d.total_multiplicity
     if total > DEFAULT_EXPANSION_CAP:
         raise ExpansionCapError(
-            f"expansion needs {total} values, cap is {DEFAULT_EXPANSION_CAP}"
+            f"expansion needs {count_text(total)} values, cap is {DEFAULT_EXPANSION_CAP}"
         )
     values: list[float] = []
     for value, mult in d.eigenvalue_classes():

@@ -171,3 +171,28 @@ def fill_heavy_graphs(draw, max_vertices: int = 30) -> Graph:
         if rng.random() < density:
             edges.add((u, v))
     return Graph.from_edges(sorted(edges), num_vertices=n)
+
+
+@st.composite
+def spd_integer_matrices(draw, max_size: int = 25) -> list[list[int]]:
+    """Random symmetric positive definite integer matrix: either a grounded
+    Laplacian with edge weights 1-9 (sparse) or B B^T + I (dense)."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        m = [[0] * (n + 1) for _ in range(n + 1)]
+        edges = {(rng.randrange(child), child) for child in range(1, n + 1)}
+        edges |= {(u, v) for u, v in combinations(range(n + 1), 2) if rng.random() < 0.2}
+        for u, v in edges:
+            w = rng.randint(1, 9)
+            m[u][v] -= w
+            m[v][u] -= w
+            m[u][u] += w
+            m[v][v] += w
+        return [row[:n] for row in m[:n]]
+    width = rng.randint(1, n)
+    b = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(n)]
+    return [
+        [sum(x * y for x, y in zip(b_i, b_j)) + (i == j) for j, b_j in enumerate(b)]
+        for i, b_i in enumerate(b)
+    ]

@@ -78,6 +78,15 @@ class TestTriangulate:
         err = capsys.readouterr().err
         assert "hint" in err
 
+    def test_cap_exceeded_by_a_count_too_long_to_print(self, k3_file, capsys):
+        # 3 + 3 (3^10000 - 1) / 2 vertices: 4,772 digits, past str()'s limit.
+        assert main(["triangulate", str(k3_file), "-n", "10000"]) == 3
+        err = capsys.readouterr().err
+        assert (
+            "error: 10000 iterations need about 10^4771 vertices, "
+            "explicit-construction cap is 20000\n" in err
+        )
+
     def test_output_file(self, k3_file, tmp_path, capsys):
         out_path = tmp_path / "out.edges"
         assert main(["triangulate", str(k3_file), "-n", "1", "-o", str(out_path)]) == 0
@@ -99,6 +108,11 @@ class TestSpectrum:
 
     def test_expansion_cap_exit_code(self, k3_file, capsys):
         assert main(["spectrum", str(k3_file), "-n", "40", "--expand"]) == 3
+
+    def test_expansion_cap_exceeded_by_a_count_too_long_to_print(self, k3_file, capsys):
+        assert main(["spectrum", str(k3_file), "-n", "10000", "--expand"]) == 3
+        err = capsys.readouterr().err
+        assert "error: expansion needs about 10^4771 values, cap is 1000000\n" in err
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_classes_below_smallest_normal_exit_two(self, k3_file, capsys, fmt):

@@ -1,7 +1,6 @@
 """Laplacians, eigensolver contract, resistance distances, spanning-tree counters."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bareiss_determinant,
     bareiss_spanning_trees,
     brute_force_spanning_trees,
     connected_graphs,
     fill_heavy_graphs,
+    spd_integer_matrices,
 )
 from trispectral.graph import Graph, analyze, generate, iterate_triangulation, triangulate
 from trispectral.invariants import spanning_trees_closed
@@ -222,16 +223,26 @@ class TestSpanningTreeCounters:
         closed = spanning_trees_closed(spanning_trees_matrix_tree(g), 3, 3, 7)
         assert spanning_trees_matrix_tree(t) == closed.to_int()
 
+    @given(spd_integer_matrices(max_size=25), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_elimination_vs_bareiss_on_integer_matrices(self, m, rng):
+        # Weighted and dense matrices force the row rescaling and the pivot
+        # row's content; each row also enters over a random denominator.
+        den = [rng.randint(1, 6) for _ in m]
+        rows = [
+            {j: d * a_ij for j, a_ij in enumerate(row) if a_ij or i == j}
+            for i, (row, d) in enumerate(zip(m, den))
+        ]
+        assert _integer_determinant(rows, den) == bareiss_determinant([r[:] for r in m])
+
     def test_elimination_rejects_nonpositive_pivot(self):
         # [[1, 2], [2, 1]] is indefinite: the second pivot is 1 - 4 = -3.
-        rows = [
-            {0: Fraction(1), 1: Fraction(2)},
-            {0: Fraction(2), 1: Fraction(1)},
-        ]
+        rows = [{0: 1, 1: 2}, {0: 2, 1: 1}]
         with pytest.raises(NumericError, match="pivot -3 at vertex 1"):
-            _integer_determinant(rows)
+            _integer_determinant(rows, [1, 1])
 
     def test_elimination_rejects_non_integer_product(self):
-        rows = [{0: Fraction(3, 2)}, {1: Fraction(1, 3)}]
+        # diag(3/2, 1/3): integer rows over the denominators 2 and 3.
+        rows = [{0: 3}, {1: 1}]
         with pytest.raises(NumericError, match="pivot product 1/2 is not an integer"):
-            _integer_determinant(rows)
+            _integer_determinant(rows, [2, 3])
