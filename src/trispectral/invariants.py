@@ -3,9 +3,10 @@
 The degree-Kirchhoff index, Kemeny's constant, and the spanning-tree count of
 the n-fold triangulation all admit closed forms in n and the seed's own
 invariants.  Seed invariants are always obtained from first-principles
-oracles (resistance distances, spectrum sums, the matrix-tree determinant);
-:func:`verify_all` recomputes every invariant by all available routes and
-reports their agreement.
+oracles (resistance distances, the seed spectrum's reciprocal sum, the
+matrix-tree determinant); :func:`verify_all` recomputes every invariant by all
+available routes, among them a fundamental-matrix oracle for Kemeny's
+constant, and reports their agreement.
 
 Spanning-tree counts scale like 3^(sum of generation vertex counts): the
 exponent alone exceeds 10^13 at depth 30, so the closed form is carried as an
@@ -25,6 +26,7 @@ from typing import Mapping
 from .graph import Graph, analyze, predicted_counts, triangulate
 from .numeric import (
     eigenvalues_sym,
+    kemeny_direct,
     kf_star_direct,
     normalized_laplacian,
     spanning_trees_matrix_tree,
@@ -41,7 +43,7 @@ DECIMAL_DIGIT_CAP = 100_000
 INT_DIGIT_CAP = 10**7
 
 # Largest materialized graph for the dense oracle routes of `verify_all`.  The
-# float oracles (eigensolve, pseudoinverse) cost O(N^3) time and O(N^2) memory.
+# float oracles (Cholesky-checked inverses) cost O(N^3) time and O(N^2) memory.
 VERIFY_MATERIALIZE_CAP = 1200
 
 _LOG10_3 = math.log10(3)
@@ -222,22 +224,13 @@ def spanning_trees_step(
 class SeedData:
     """Invariants of one explicit graph, each from its own first-principles oracle."""
 
-    eigenvalues: tuple[float, ...]
-    bipartite: bool
-    kf_star: float  # resistance-distance sum
-    kemeny: float  # spectrum reciprocal sum
+    kf_star: float  # resistance-distance sum over the grounded-Laplacian inverse
+    kemeny: float  # trace of the fundamental matrix, minus 1
     spanning_trees: int  # matrix-tree determinant
 
 
 def seed_data(g: Graph) -> SeedData:
-    eigenvalues = eigenvalues_sym(normalized_laplacian(g)).eigenvalues
-    return SeedData(
-        eigenvalues=eigenvalues,
-        bipartite=analyze(g).bipartite,
-        kf_star=kf_star_direct(g),
-        kemeny=math.fsum(1.0 / x for x in eigenvalues[1:]),
-        spanning_trees=spanning_trees_matrix_tree(g),
-    )
+    return SeedData(kf_star_direct(g), kemeny_direct(g), spanning_trees_matrix_tree(g))
 
 
 @dataclass(frozen=True)
@@ -315,16 +308,18 @@ def verify_all(
         raise ValueError("max_n must be nonnegative")
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tolerance must be a finite positive number")
+    eigenvalues = eigenvalues_sym(normalized_laplacian(g)).eigenvalues
     seed = seed_data(g)
+    kf0, k0 = seed.kf_star, math.fsum(1.0 / x for x in eigenvalues[1:])
     n0, e0 = g.num_vertices, g.num_edges
     reports: list[InvariantReport] = []
     failures: list[str] = []
 
     names = ("kf_star", "kemeny", "spanning_trees")
-    running = (seed.kf_star, seed.kemeny, SpanningTreeCount(0, 0, seed.spanning_trees))
+    running = (kf0, k0, SpanningTreeCount(0, 0, seed.spanning_trees))
     materialized: Graph | None = g
     oracle: SeedData | None = seed
-    spectrum_sums = reciprocal_sums(seed.eigenvalues, e0, seed.bipartite)
+    spectrum_sums = reciprocal_sums(eigenvalues, e0, analyze(g).bipartite)
 
     for n in range(max_n + 1):
         vertices, edges = predicted_counts(n0, e0, n)
@@ -340,8 +335,8 @@ def verify_all(
             else:
                 materialized = oracle = None
         closed = (
-            kf_star_closed(seed.kf_star, n0, e0, n),
-            kemeny_closed(seed.kemeny, n0, e0, n),
+            kf_star_closed(kf0, n0, e0, n),
+            kemeny_closed(k0, n0, e0, n),
             spanning_trees_closed(seed.spanning_trees, n0, e0, n),
         )
         kf, kemeny, trees = closed

@@ -1,9 +1,11 @@
 """Symmetric linear algebra over graphs.
 
-Normalized and combinatorial Laplacians, an eigensolver with a residual
-contract, resistance distances through the Laplacian pseudoinverse, and the
-exact matrix-tree determinant by sparse fraction-free elimination, in
-minimum-degree order, of integer rows over positive row denominators.
+The normalized Laplacian, an eigensolver with a residual contract, two direct
+oracles on Cholesky-checked inverses (resistance distances from the grounded
+Laplacian, Kemeny's constant from the normalized Laplacian plus its
+stationary rank-one term), and the exact matrix-tree determinant by sparse
+fraction-free elimination, in minimum-degree order, of integer rows over
+positive row denominators.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from .graph import Graph
 
 DEFAULT_EIG_TOL = 1e-10
 
-# Pseudoinverse kernel cutoff, relative to the largest eigenvalue.
-_KERNEL_RTOL = 1e-9
+# Smallest Cholesky pivot accepted, relative to the largest diagonal entry.  A
+# smaller pivot puts the condition number above 2^26, so the inverse could not
+# be trusted to 1e-8; and a singular Laplacian can round to a tiny positive pivot.
+_PIVOT_RTOL = 2.0**-26
 
 
 class NumericError(RuntimeError):
@@ -29,10 +33,6 @@ class NumericError(RuntimeError):
 
 class EigensolverError(NumericError):
     """Eigendecomposition failed or did not reach the requested residual."""
-
-
-class PseudoinverseError(NumericError):
-    """Laplacian pseudoinverse found an unexpected kernel."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,16 +61,6 @@ class EigenResult:
 
     eigenvalues: tuple[float, ...]
     residual: float
-
-
-def combinatorial_laplacian(g: Graph) -> SymmetricMatrix:
-    """Degree matrix minus adjacency matrix; row sums are exactly zero."""
-    m = np.zeros((g.num_vertices, g.num_vertices))
-    us, vs = np.array(g.edges).T
-    m[us, vs] = -1.0
-    m[vs, us] = -1.0
-    np.fill_diagonal(m, np.array(g.degrees, dtype=float))
-    return SymmetricMatrix(m)
 
 
 def normalized_laplacian(g: Graph) -> SymmetricMatrix:
@@ -108,31 +98,40 @@ def eigenvalues_sym(m: SymmetricMatrix) -> EigenResult:
     return EigenResult(tuple(float(x) for x in w), residual)
 
 
+def _spd_inverse(a: np.ndarray, name: str) -> np.ndarray:
+    """Inverse of a symmetric matrix that a Cholesky factorization shows to be
+    positive definite, with every pivot at least _PIVOT_RTOL times the
+    largest diagonal entry; raises NumericError naming the matrix otherwise."""
+    try:
+        pivot = float(np.linalg.cholesky(a).diagonal().min()) ** 2
+    except np.linalg.LinAlgError:
+        pivot = 0.0
+    if pivot < _PIVOT_RTOL * float(a.diagonal().max()):
+        raise NumericError(f"the {name} is not positive definite (is the graph connected?)")
+    return np.linalg.inv(a)
+
+
 def resistance_distances(g: Graph) -> np.ndarray:
     """Pairwise effective resistances with unit resistors on every edge.
 
-    Computed from the Moore-Penrose pseudoinverse of the combinatorial
-    Laplacian: r_ij = L+_ii + L+_jj - 2 L+_ij.  Only eigenvalues above
-    a relative cutoff are inverted; the kernel must be exactly rank one.
+    The combinatorial Laplacian with the last vertex grounded (its row and
+    column replaced by the identity's) is inverted; with that vertex's diagonal
+    entry then set to 0 the inverse M is a generalized inverse of the
+    Laplacian, and r_ij = M_ii + M_jj - 2 M_ij.
     """
-    lap = combinatorial_laplacian(g).entries
-    try:
-        w, v = np.linalg.eigh(lap)
-    except np.linalg.LinAlgError as exc:
-        raise PseudoinverseError(f"eigendecomposition failed: {exc}") from exc
-    cutoff = _KERNEL_RTOL * float(w[-1])
-    kernel = int(np.count_nonzero(w <= cutoff))
-    if kernel != 1:
-        raise PseudoinverseError(
-            f"expected a rank-1 kernel, found {kernel} eigenvalues below {cutoff:.3e}"
-        )
-    inv = np.zeros_like(w)
-    np.divide(1.0, w, out=inv, where=w > cutoff)
-    pinv = (v * inv) @ v.T
-    diag = np.diag(pinv).copy()
+    lap = np.zeros((g.num_vertices, g.num_vertices))
+    us, vs = np.array(g.edges).T
+    lap[us, vs] = -1.0
+    lap[vs, us] = -1.0
+    np.fill_diagonal(lap, np.array(g.degrees, dtype=float))
+    lap[-1] = lap[:, -1] = 0.0
+    lap[-1, -1] = 1.0
+    m = _spd_inverse(lap, "grounded Laplacian")
+    m[-1, -1] = 0.0
+    diag = np.diag(m).copy()
     r = diag[:, None] + diag[None, :]
-    r -= pinv
-    r -= pinv.T
+    r -= m
+    r -= m.T
     np.fill_diagonal(r, 0.0)
     return r
 
@@ -143,6 +142,17 @@ def kf_star_direct(g: Graph) -> float:
     r = resistance_distances(g)
     d = np.array(g.degrees, dtype=float)
     return 0.5 * float(d @ r @ d)
+
+
+def kemeny_direct(g: Graph) -> float:
+    """Kemeny's constant from first principles: tr(Z) - 1 for the fundamental
+    matrix Z = (I - P + 1 pi^T)^-1 of the random walk, which is similar to
+    (L + u u^T)^-1 for the normalized Laplacian L and u = sqrt(d / 2E)."""
+    d = np.array(g.degrees, dtype=float)
+    u = np.sqrt(d / d.sum())
+    m = np.outer(u, u)
+    m += normalized_laplacian(g).entries
+    return float(np.trace(_spd_inverse(m, "normalized Laplacian plus u u^T"))) - 1.0
 
 
 def spanning_trees_matrix_tree(g: Graph) -> int:

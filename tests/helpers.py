@@ -6,9 +6,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Union
 
+import numpy as np
 from hypothesis import strategies as st
 
 from trispectral.graph import Graph, generate
+from trispectral.numeric import SymmetricMatrix
 from trispectral.spectra import EXCEPTIONAL_VALUES, SEED_MATCH_TOL, SpectrumDescriptor
 
 
@@ -66,6 +68,49 @@ def kemeny_recursive_fraction(prev: float, n0: int, e0: int, n: int) -> float:
     `kemeny_recursive`)."""
     rational = Fraction(-n0, 3) + Fraction((5 * 3 ** (n - 1) + 1) * e0, 6)
     return 2 * prev + float(rational)
+
+
+def combinatorial_laplacian(g: Graph) -> SymmetricMatrix:
+    """Degree matrix minus adjacency matrix; row sums are exactly zero."""
+    m = np.zeros((g.num_vertices, g.num_vertices))
+    us, vs = np.array(g.edges).T
+    m[us, vs] = -1.0
+    m[vs, us] = -1.0
+    np.fill_diagonal(m, np.array(g.degrees, dtype=float))
+    return SymmetricMatrix(m)
+
+
+def pseudoinverse_resistances(g: Graph) -> np.ndarray:
+    """Effective resistances from the Moore-Penrose pseudoinverse of the
+    combinatorial Laplacian: an independent reference for the grounded inverse."""
+    pinv = np.linalg.pinv(combinatorial_laplacian(g).entries, hermitian=True)
+    diag = np.diag(pinv)
+    return diag[:, None] + diag[None, :] - 2 * pinv
+
+
+def kemeny_fraction(g: Graph) -> Fraction:
+    """Kemeny's constant exactly: tr(Z) - 1 for the fundamental matrix
+    Z = (I - P + 1 pi^T)^-1, by Gauss-Jordan elimination over Fractions."""
+    n = g.num_vertices
+    pi = [Fraction(d, 2 * g.num_edges) for d in g.degrees]
+    m = [[Fraction(int(i == j)) + pi[j] for j in range(n)] for i in range(n)]
+    for u, v in g.edges:
+        m[u][v] -= Fraction(1, g.degrees[u])
+        m[v][u] -= Fraction(1, g.degrees[v])
+    inverse = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        p = next(r for r in range(k, n) if m[r][k])
+        m[k], m[p] = m[p], m[k]
+        inverse[k], inverse[p] = inverse[p], inverse[k]
+        scale = m[k][k]
+        m[k] = [x / scale for x in m[k]]
+        inverse[k] = [x / scale for x in inverse[k]]
+        for r in range(n):
+            if r != k and m[r][k]:
+                factor = m[r][k]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[k])]
+                inverse[r] = [x - factor * y for x, y in zip(inverse[r], inverse[k])]
+    return sum(inverse[i][i] for i in range(n)) - 1
 
 
 def bareiss_spanning_trees(g: Graph) -> int:

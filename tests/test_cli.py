@@ -7,6 +7,8 @@ import json
 import pytest
 
 import trispectral.invariants
+import trispectral.numeric
+import trispectral.spectra
 from trispectral.cli import main
 from trispectral.graph import parse_edge_list
 from trispectral.spectra import descriptor_for, expand_descriptor
@@ -213,6 +215,26 @@ class TestVerify:
         assert main(["verify", str(p3_file), "--max-n", "1", "--tol", "1e-18"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    def test_eigensolve_runs_on_the_seed_only(self, k3_file, capsys, monkeypatch):
+        calls = []
+        solve = trispectral.numeric.eigenvalues_sym
+        for module in (trispectral.numeric, trispectral.spectra, trispectral.invariants):
+            monkeypatch.setattr(module, "eigenvalues_sym",
+                                lambda m: calls.append(m.order) or solve(m))
+        assert main(["verify", str(k3_file), "--max-n", "4"]) == 0
+        assert calls == [3]
+
+    def test_direct_kemeny_disagreement_fails_every_oracle_depth(self, k3_file, capsys,
+                                                                 monkeypatch):
+        direct = trispectral.invariants.kemeny_direct
+        monkeypatch.setattr(trispectral.invariants, "kemeny_direct",
+                            lambda g: direct(g) * (1 + 1e-6))
+        assert main(["verify", str(k3_file), "--max-n", "4"]) == 1
+        fails = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("FAIL: ")]
+        assert [line.split(":")[1] for line in fails] == [f" n={n}" for n in range(5)]
+        assert all("kemeny routes disagree" in line for line in fails)
 
 
 class TestErrorPaths:

@@ -279,7 +279,6 @@ class TestSeedData:
         assert seed.kf_star == pytest.approx(8.0, rel=1e-12)
         assert seed.kemeny == pytest.approx(4 / 3, rel=1e-12)
         assert seed.spanning_trees == 3
-        assert seed.bipartite is False
 
     def test_petersen(self):
         seed = seed_data(generate("petersen", 10))

@@ -1,6 +1,7 @@
 """Laplacians, eigensolver contract, resistance distances, spanning-tree counters."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +12,12 @@ from helpers import (
     bareiss_determinant,
     bareiss_spanning_trees,
     brute_force_spanning_trees,
+    combinatorial_laplacian,
     connected_graphs,
+    corpus,
     fill_heavy_graphs,
+    kemeny_fraction,
+    pseudoinverse_resistances,
     spd_integer_matrices,
 )
 from trispectral.graph import Graph, analyze, generate, iterate_triangulation, triangulate
@@ -21,8 +26,8 @@ from trispectral.numeric import (
     NumericError,
     SymmetricMatrix,
     _integer_determinant,
-    combinatorial_laplacian,
     eigenvalues_sym,
+    kemeny_direct,
     kf_star_direct,
     normalized_laplacian,
     resistance_distances,
@@ -156,6 +161,54 @@ class TestResistanceDistances:
         r = resistance_distances(g)
         total = math.fsum(r[u, v] for u, v in g.edges)
         assert total == pytest.approx(g.num_vertices - 1, abs=1e-8)
+
+    @given(connected_graphs())
+    def test_matches_pseudoinverse(self, g):
+        r = resistance_distances(g)
+        assert np.allclose(r, pseudoinverse_resistances(g), rtol=1e-9, atol=1e-12)
+
+
+def _disconnected(*blocks: list[tuple[int, int]]) -> Graph:
+    """Disjoint union of edge lists, built without from_edges' connectivity check."""
+    edges, offset = [], 0
+    for block in blocks:
+        edges += [(u + offset, v + offset) for u, v in block]
+        offset += 1 + max(max(e) for e in block)
+    adjacency = [[] for _ in range(offset)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return Graph(offset, tuple(edges), tuple(map(tuple, adjacency)),
+                 tuple(map(len, adjacency)))
+
+
+K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+
+
+class TestDirectOraclesRejectDisconnectedGraphs:
+    # Rounding leaves a tiny positive pivot rather than zero on K4 + K4 (grounded
+    # Laplacian) and C5 + C5 (normalized), so a bare Cholesky would accept them.
+    @pytest.mark.parametrize("blocks", [([(0, 1)], [(0, 1)]), (K4_EDGES, K4_EDGES),
+                                        (C5_EDGES, C5_EDGES)])
+    @pytest.mark.parametrize("oracle", [resistance_distances, kemeny_direct])
+    def test_raises_numeric_error(self, blocks, oracle):
+        with pytest.raises(NumericError, match="not positive definite"):
+            oracle(_disconnected(*blocks))
+
+
+class TestKemenyDirect:
+    @pytest.mark.parametrize("name,g", sorted(corpus().items()))
+    def test_matches_exact_fundamental_matrix(self, name, g):
+        exact = kemeny_fraction(g)
+        assert abs(Fraction(kemeny_direct(g)) - exact) <= Fraction(1e-13) * exact
+
+    @given(connected_graphs())
+    def test_agrees_with_spectral_sum(self, g):
+        lam = eigenvalues_sym(normalized_laplacian(g)).eigenvalues
+        spectral = math.fsum(1 / x for x in lam[1:])
+        assert kemeny_direct(g) == pytest.approx(spectral, rel=1e-9)
+        assert kf_star_direct(g) == pytest.approx(2 * g.num_edges * kemeny_direct(g), rel=1e-9)
 
 
 class TestKfStarDirect:
