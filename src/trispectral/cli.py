@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         text, status = args.handler(parse_edge_list(args.input.read_text()), args)
         if args.output_path is None:
@@ -291,6 +291,9 @@ def _run_verify(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
     lines.append("PASS" if result.passed else "FAIL")
     return "\n".join(lines) + "\n", status
 
+
+# Built once: a parser holds reference cycles that each build would leave to the gc.
+_PARSER = build_parser()
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -123,18 +123,23 @@ class GraphAnalysis:
     max_degree: int
 
 
-def _require_connected(n: int, adjacency: Sequence[Sequence[int]]) -> None:
-    visited = [False] * n
-    visited[0] = True
+def _two_colouring(n: int, adjacency: Sequence[Sequence[int]]) -> list[int]:
+    """BFS from vertex 0: colour 0 or 1 for each reached vertex, -1 for the rest."""
+    colour = [-1] * n
+    colour[0] = 0
     queue = deque([0])
-    reached = 1
     while queue:
         u = queue.popleft()
+        other = colour[u] ^ 1
         for v in adjacency[u]:
-            if not visited[v]:
-                visited[v] = True
-                reached += 1
+            if colour[v] < 0:
+                colour[v] = other
                 queue.append(v)
+    return colour
+
+
+def _require_connected(n: int, adjacency: Sequence[Sequence[int]]) -> None:
+    reached = n - _two_colouring(n, adjacency).count(-1)
     if reached != n:
         raise DisconnectedGraphError(
             f"graph is disconnected: reached {reached} of {n} vertices from vertex 0"
@@ -177,24 +182,13 @@ def format_edge_list(g: Graph) -> str:
 
 
 def analyze(g: Graph) -> GraphAnalysis:
-    """Structural report; bipartiteness decided by BFS 2-coloring, never numerically."""
-    n = g.num_vertices
-    color = [-1] * n
-    color[0] = 0
-    queue = deque([0])
-    bipartite = True
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if color[v] == -1:
-                color[v] = color[u] ^ 1
-                queue.append(v)
-            elif color[v] == color[u]:
-                bipartite = False
+    """Structural report; bipartite when no edge joins two vertices of the same
+    BFS colour, never decided numerically."""
+    colour = _two_colouring(g.num_vertices, g.adjacency)
     return GraphAnalysis(
-        n_vertices=n,
+        n_vertices=g.num_vertices,
         n_edges=g.num_edges,
-        bipartite=bipartite,
+        bipartite=all(colour[u] != colour[v] for u, v in g.edges),
         min_degree=min(g.degrees),
         max_degree=max(g.degrees),
     )

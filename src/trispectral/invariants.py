@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, Context, Decimal, Inexact, Rounded, localcontext
+from fractions import Fraction
 from typing import Mapping
 
 from .graph import Graph, analyze, predicted_counts, triangulate
@@ -31,16 +32,13 @@ from .numeric import (
     normalized_laplacian,
     spanning_trees_matrix_tree,
 )
-from .spectra import reciprocal_sums
+from .spectra import _check_total, build_descriptor, generations, reciprocal_sum
 
 # Relative tolerance for the identity kf_star = 2 * E_n * kemeny.
 IDENTITY_RTOL = 1e-12
 
 # Largest count rendered as a decimal string; factored form beyond.
 DECIMAL_DIGIT_CAP = 100_000
-
-# Largest count materialized as a plain int.
-INT_DIGIT_CAP = 10**7
 
 # Largest materialized graph for the dense oracle routes of `verify_all`.  The
 # float oracles (Cholesky-checked inverses) cost O(N^3) time and O(N^2) memory.
@@ -99,12 +97,6 @@ class SpanningTreeCount:
             raise OverflowError(f"count has about {digits} digits, above the {max_digits} limit")
         return digits
 
-    def to_int(self) -> int:
-        self._require_digits(INT_DIGIT_CAP)
-        return 3**self.pow3 * 2**self.pow2 * self.seed_count
-
-    __int__ = to_int
-
     def decimal(self) -> str:
         """Exact decimal string; raises OverflowError beyond DECIMAL_DIGIT_CAP."""
         digits = self._require_digits(DECIMAL_DIGIT_CAP)
@@ -124,9 +116,6 @@ class SpanningTreeCount:
         if self.digits10() <= 40:
             return self.decimal()
         return self.factored()
-
-    def __repr__(self) -> str:
-        return f"SpanningTreeCount(pow3={self.pow3}, pow2={self.pow2}, seed_count={self.seed_count})"
 
 
 def kf_star_closed(kf0: float, n0: int, e0: int, n: int) -> float:
@@ -300,9 +289,10 @@ def verify_all(
     over the symbolic descriptor, and a direct oracle (:func:`seed_data`) on
     the materialized graph while its vertex count stays within
     ``materialize_cap``.  Floating routes must agree within ``tol`` relative;
-    spanning-tree routes must agree exactly.  The spectrum sum is carried one
-    generation at a time from the depth-0/1 descriptors (``reciprocal_sums``),
-    so without the direct oracle each depth costs O(1) big-integer operations.
+    spanning-tree routes must agree exactly.  The counts and the spectrum sum's
+    exact part (integer thirds) are carried along :func:`generations`, and its
+    seed part is the depth-1 value times 2^(n-1), so without the direct oracle
+    each depth costs O(1) big-integer operations.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
@@ -319,11 +309,14 @@ def verify_all(
     running = (kf0, k0, SpanningTreeCount(0, 0, seed.spanning_trees))
     materialized: Graph | None = g
     oracle: SeedData | None = seed
-    spectrum_sums = reciprocal_sums(eigenvalues, e0, analyze(g).bipartite)
+    bipartite = analyze(g).bipartite
+    walk = generations(n0, e0, bipartite)
+    vertices, edges, thirds = n0, e0, 0
 
     for n in range(max_n + 1):
-        vertices, edges = predicted_counts(n0, e0, n)
         if n > 0:
+            vertices, edges, (three_halves, unit) = next(walk)
+            thirds = 2 * thirds + 2 * three_halves + 3 * unit
             running = (
                 kf_star_recursive(running[0], n0, e0, n),
                 kemeny_recursive(running[1], n0, e0, n),
@@ -340,8 +333,15 @@ def verify_all(
             spanning_trees_closed(seed.spanning_trees, n0, e0, n),
         )
         kf, kemeny, trees = closed
-        exact_part, seed_part = next(spectrum_sums)
-        kemeny_spectrum = float(exact_part) + seed_part
+        if n < 2:
+            descriptor = build_descriptor(eigenvalues, e0, bipartite, n)
+            seed_part = depth_one = reciprocal_sum(descriptor)[1]
+            total = descriptor.total_multiplicity
+        else:
+            total += three_halves + unit
+            _check_total(total, n0, e0, edges)
+            seed_part = math.ldexp(depth_one, n - 1)
+        kemeny_spectrum = float(Fraction(thirds, 3)) + seed_part
 
         routes: dict[str, dict[str, object]] = {
             name: {"closed_form": value, "recursion": recursion}

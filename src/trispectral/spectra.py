@@ -6,9 +6,11 @@ for bipartite seeds, is dropped), the value 3/2 enters with multiplicity
 equal to the previous vertex count, and 1s pad the total up to the new
 vertex count.  Unrolling the rule n times yields a descriptor whose size is
 O(n + seed size), independent of the iterated graph's exponential vertex
-count.  Multiplicities are exact big integers, carried by addition (N += E,
-E *= 3) with no per-generation power and printed through exact decimals; the
-exceptional values are dyadic rationals and carry exactly in floating point.
+count.  :func:`generations` steps the rule in one place, carrying the vertex
+and edge counts by addition (N += E, E *= 3) with no per-generation power;
+the descriptor, its exact-decimal rendering and ``verify_all`` all walk it.
+Multiplicities are exact big integers; the exceptional values are dyadic
+rationals and carry exactly in floating point.
 
 The descriptor stores the bands as one flat tuple of counts, two per
 generation: entry 2g - 2 is generation g's count of 3/2s and entry 2g - 1 its
@@ -119,32 +121,35 @@ class SpectrumDescriptor:
         }
 
     def _band_multiplicity_strings(self) -> list[str]:
-        """``str(count)`` for every band count, from the same rule walked over
-        exact decimals: linear in the digits, where int-to-str is quadratic."""
-        out: list[str] = []
+        """``str(count)`` for every band count, from :func:`generations` walked
+        over exact decimals: linear in the digits, where int-to-str is quadratic."""
         with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])):
-            vertices, edges = Decimal(self.n0), Decimal(self.e0)
-            for g in range(1, self.n + 1):
-                out += map(str, generation_bands(self.bipartite_seed, g, vertices, edges))
-                vertices += edges
-                edges *= 3
-        return out
+            walk = generations(Decimal(self.n0), Decimal(self.e0), self.bipartite_seed)
+            return [str(count) for _, _, bands in itertools.islice(walk, self.n) for count in bands]
 
 
-def generation_bands(
-    bipartite_seed: bool, g: int, prev_vertices: int, prev_edges: int
-) -> tuple[int, int]:
-    """The band counts of generation g >= 1: 3/2 once per vertex of the
-    depth-(g-1) graph, then 1s, E_{g-1} - N_{g-1} of them (plus a bipartite
-    seed's dropped 2, restored at g = 1; negative only for an invalid seed).
-    The counts are ints, or exact Decimals when rendering."""
-    unit = prev_edges - prev_vertices + int(g == 1 and bipartite_seed)
-    if unit < 0:
-        raise RuntimeError(
-            f"internal inconsistency: negative eigenvalue-1 multiplicity {unit} "
-            f"at generation {g} (seed not a valid connected graph?)"
-        )
-    return prev_vertices, unit
+def generations(
+    n0: int, e0: int, bipartite_seed: bool
+) -> Iterator[tuple[int, int, tuple[int, int]]]:
+    """Endless walk of the triangulation rule from an (n0, e0) seed: yields
+    N_g, E_g and generation g's band counts for g = 1, 2, ..., carrying the
+    counts by addition (N += E, E *= 3).  The bands are 3/2 once per vertex of
+    the depth-(g-1) graph, then 1s, E_{g-1} - N_{g-1} of them (plus a
+    bipartite seed's dropped 2, restored at g = 1; negative only for an
+    invalid seed).  Ints in, ints out; exact Decimals in, exact Decimals out.
+    The callers check the band totals, outside the walk."""
+    vertices, edges = n0, e0
+    for g in itertools.count(1):
+        unit = edges - vertices + int(g == 1 and bipartite_seed)
+        if unit < 0:
+            raise RuntimeError(
+                f"internal inconsistency: negative eigenvalue-1 multiplicity {unit} "
+                f"at generation {g} (seed not a valid connected graph?)"
+            )
+        bands = (vertices, unit)
+        vertices += edges
+        edges *= 3
+        yield vertices, edges, bands
 
 
 def _check_total(total: int, n0: int, e0: int, edges: int) -> None:
@@ -198,9 +203,9 @@ def build_descriptor(
 ) -> SpectrumDescriptor:
     """Unroll the per-step spectral rule n times from a seed spectrum.
 
-    Cost is O(n + seed size) big-integer additions: the vertex and edge
-    counts are carried (N += E, E *= 3), with no power per generation.  The
-    total multiplicity is checked against the exact vertex count.
+    Cost is O(n + seed size) big-integer additions along :func:`generations`,
+    with no power per generation.  The total multiplicity is checked against
+    the exact vertex count.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
@@ -209,12 +214,9 @@ def build_descriptor(
     n0 = len(seed_eigenvalues)
     seed = _seed_classes(seed_eigenvalues, bipartite_seed)
     bands: list[int] = []
-    prev_vertices = n0
     edges = e0
-    for g in range(1, n + 1):
-        bands += generation_bands(bipartite_seed, g, prev_vertices, edges)
-        prev_vertices += edges
-        edges *= 3
+    for _, edges, pair in itertools.islice(generations(n0, e0, bipartite_seed), n):
+        bands += pair
     descriptor = SpectrumDescriptor(
         n=n,
         n0=n0,
@@ -252,43 +254,17 @@ def expand_descriptor(d: SpectrumDescriptor) -> list[float]:
 def reciprocal_sum(d: SpectrumDescriptor) -> tuple[Fraction, float]:
     """Sum of reciprocals of all nonzero eigenvalues, split exact/floating.
 
-    The exceptional part (classes 3/2 and 1) is an exact rational; the seed
-    part is floating.  Their sum is the Kemeny constant of the depth-n graph.
-    O(n) rational operations; :func:`reciprocal_sums` carries it depth by depth.
+    The exceptional part (classes 3/2 and 1) is an exact rational, carried in
+    integer thirds (1/(3/2) = 2/3): each generation doubles it, since every
+    eigenvalue halves, and adds its two bands.  ``verify_all`` carries the
+    same sum along :func:`generations`.  The seed part is floating.  Their sum
+    is the Kemeny constant of the depth-n graph.
     """
-    exceptional = Fraction(0)
-    for i, mult in enumerate(d.exceptional):
-        weight = mult * (1 << (d.n - i // 2 - 1))
-        exceptional += weight / EXCEPTIONAL_VALUES[i % 2]
+    thirds = 0
+    for three_halves, unit in zip(d.exceptional[::2], d.exceptional[1::2]):
+        thirds = 2 * thirds + 2 * three_halves + 3 * unit
     scale = 2.0**d.n
     seed_part = math.fsum(
         mult * scale / value for value, mult in d.effective_seed() if value != 0.0
     )
-    return exceptional, seed_part
-
-
-def reciprocal_sums(
-    seed_eigenvalues: Sequence[float], e0: int, bipartite_seed: bool
-) -> Iterator[tuple[Fraction, float]]:
-    """Endless :func:`reciprocal_sum` at depths 0, 1, 2, ..., carried one
-    generation at a time from the depth-0 and depth-1 descriptors: each
-    generation doubles the exact part (every eigenvalue halves) and adds its
-    two bands, in integer thirds (1/(3/2) = 2/3); the vertex and edge counts
-    are carried by addition, with no power per generation.  The seed part is
-    the depth-1 value times 2^(n-1), the same double as the direct sum.  The
-    band total is checked at every depth.
-    """
-    yield reciprocal_sum(build_descriptor(seed_eigenvalues, e0, bipartite_seed, 0))
-    d = build_descriptor(seed_eigenvalues, e0, bipartite_seed, 1)
-    exact, seed_part = reciprocal_sum(d)
-    yield exact, seed_part
-    assert (3 * exact).denominator == 1, exact
-    thirds = int(3 * exact)
-    total, edges = d.total_multiplicity, 3 * e0  # N_1, E_1
-    for n in itertools.count(2):
-        three_halves, unit = generation_bands(bipartite_seed, n, total, edges)
-        total += three_halves + unit
-        edges *= 3
-        _check_total(total, d.n0, e0, edges)
-        thirds = 2 * thirds + 2 * three_halves + 3 * unit
-        yield Fraction(thirds, 3), math.ldexp(seed_part, n - 1)
+    return Fraction(thirds, 3), seed_part

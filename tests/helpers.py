@@ -10,8 +10,12 @@ import numpy as np
 from hypothesis import strategies as st
 
 from trispectral.graph import Graph, generate
+from trispectral.invariants import SpanningTreeCount
 from trispectral.numeric import SymmetricMatrix
 from trispectral.spectra import EXCEPTIONAL_VALUES, SEED_MATCH_TOL, SpectrumDescriptor
+
+# Largest spanning-tree count materialized as a plain int.
+INT_DIGIT_CAP = 10**7
 
 
 def corpus() -> dict[str, Graph]:
@@ -54,6 +58,24 @@ def multiplicity_of(d: SpectrumDescriptor, value: Union[Fraction, float, int]) -
         if abs(Fraction(seed_value) - scaled) <= (SEED_MATCH_TOL if seed_value else 0):
             total += mult
     return total
+
+
+def to_int(count: SpanningTreeCount) -> int:
+    """A factored spanning-tree count as a plain int; OverflowError past
+    INT_DIGIT_CAP digits."""
+    count._require_digits(INT_DIGIT_CAP)
+    return 3**count.pow3 * 2**count.pow2 * count.seed_count
+
+
+def reciprocal_sum_fraction(d: SpectrumDescriptor) -> Fraction:
+    """Exact part of the reciprocal sum, one Fraction per band: generation g's
+    bands halve n - g times, so their count weighs 2^(n - g) over the value.
+    The reference for the integer-thirds carry of `reciprocal_sum`."""
+    exceptional = Fraction(0)
+    for i, mult in enumerate(d.exceptional):
+        weight = mult * (1 << (d.n - i // 2 - 1))
+        exceptional += weight / EXCEPTIONAL_VALUES[i % 2]
+    return exceptional
 
 
 def kemeny_closed_fraction(k0: float, n0: int, e0: int, n: int) -> float:

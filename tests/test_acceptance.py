@@ -10,7 +10,7 @@ import math
 import time
 from fractions import Fraction
 
-from helpers import corpus, multiplicity_of, new_unit_multiplicity
+from helpers import corpus, multiplicity_of, new_unit_multiplicity, to_int
 from trispectral.graph import Graph, analyze, predicted_counts, triangulate
 from trispectral.invariants import (
     kemeny_closed,
@@ -175,9 +175,9 @@ def test_criterion_4_spanning_tree_exactness():
     for name, g in seeds.items():
         n0, e0 = g.num_vertices, g.num_edges
         seed_trees = spanning_trees_matrix_tree(g)
-        previous = spanning_trees_closed(seed_trees, n0, e0, 0).to_int()
+        previous = to_int(spanning_trees_closed(seed_trees, n0, e0, 0))
         for n in range(1, 11):
-            current = spanning_trees_closed(seed_trees, n0, e0, n).to_int()
+            current = to_int(spanning_trees_closed(seed_trees, n0, e0, n))
             prev_vertices, _ = predicted_counts(n0, e0, n - 1)
             multiplier = 3 ** (prev_vertices - 1) * 2 ** (prev_vertices - 2 * n0 + e0 + 1)
             quotient, remainder = divmod(current, previous)

@@ -1,6 +1,7 @@
 """CLI contract: commands, formats, exit codes, determinism."""
 
 import csv
+import gc
 import io
 import json
 
@@ -282,3 +283,16 @@ class TestDeterminism:
         first = capsys.readouterr().out
         assert main(["invariants", str(k3_file), "-n", "3", "--format", fmt]) == 0
         assert capsys.readouterr().out == first
+
+
+class TestReferenceCycles:
+    def test_main_leaves_no_garbage_for_the_collector(self, k3_file, capsys):
+        argv = ["verify", str(k3_file), "--max-n", "2"]
+        assert main(argv) == 0  # warm-up: first-call caches and imports
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

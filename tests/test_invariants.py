@@ -13,6 +13,7 @@ from helpers import (
     corpus,
     kemeny_closed_fraction,
     kemeny_recursive_fraction,
+    to_int,
 )
 from trispectral import invariants, spectra
 from trispectral.graph import generate, predicted_counts, triangulate
@@ -176,6 +177,7 @@ class TestSpanningTreeCount:
 
     def test_hash_consistent_with_eq(self):
         assert hash(SpanningTreeCount(2, 1, 3)) == hash(SpanningTreeCount(0, 0, 54))
+        assert repr(SpanningTreeCount(2, 1, 3)) == "SpanningTreeCount(pow3=2, pow2=1, seed_count=3)"
 
     def test_decimal_and_str(self):
         count = SpanningTreeCount(7, 5, 3)
@@ -212,7 +214,7 @@ class TestSpanningTreeCount:
     def test_decimal_equals_integer_rendering(self, unlimited_int_str, pow3, pow2, seed_count):
         count = SpanningTreeCount(pow3, pow2, seed_count)
         assert count.digits10() <= DECIMAL_DIGIT_CAP
-        assert count.decimal() == str(count.to_int())
+        assert count.decimal() == str(to_int(count))
 
     def test_decimal_cases_reach_the_cap(self):
         largest = max(SpanningTreeCount(*case).digits10() for case in self.DECIMAL_CASES)
@@ -230,7 +232,7 @@ class TestSpanningTreeCount:
         assert huge.digits10() > 10**13
         assert huge.json_value().startswith("3^")
         with pytest.raises(OverflowError):
-            huge.to_int()
+            to_int(huge)
 
 
 class TestSpanningTreesClosed:

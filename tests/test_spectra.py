@@ -2,14 +2,20 @@
 
 import math
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_graphs, corpus, multiplicity_of, new_unit_multiplicity
-from trispectral.graph import generate, iterate_triangulation, predicted_counts
+from helpers import (
+    connected_graphs,
+    corpus,
+    multiplicity_of,
+    new_unit_multiplicity,
+    reciprocal_sum_fraction,
+)
+from trispectral.graph import analyze, generate, iterate_triangulation, predicted_counts
+from trispectral.invariants import verify_all
 from trispectral.numeric import eigenvalues_sym, normalized_laplacian
 from trispectral.spectra import (
     ExpansionCapError,
@@ -17,7 +23,6 @@ from trispectral.spectra import (
     descriptor_for,
     expand_descriptor,
     reciprocal_sum,
-    reciprocal_sums,
 )
 
 
@@ -155,14 +160,24 @@ class TestReciprocalSum:
 class TestReciprocalSums:
     @pytest.mark.parametrize("name", sorted(corpus()))
     def test_carry_equals_rebuilt_descriptor(self, name):
-        # Exact parts equal as rationals, seed parts equal as doubles.
+        # verify_all's Kemeny spectrum sum, carried along the walk, is the
+        # double of the rebuilt descriptor's reciprocal sum at every depth, and
+        # its counts are the closed-form ones.
         g = corpus()[name]
         eig = eigenvalues_sym(normalized_laplacian(g)).eigenvalues
-        d0 = descriptor_for(g, 0)
-        carried = islice(reciprocal_sums(eig, g.num_edges, d0.bipartite_seed), 61)
-        for n, (exact, seed_part) in enumerate(carried):
-            d = build_descriptor(eig, g.num_edges, d0.bipartite_seed, n)
-            assert (exact, seed_part) == reciprocal_sum(d)
+        bipartite = analyze(g).bipartite
+        reports = verify_all(g, 60, materialize_cap=0).reports
+        for n, report in enumerate(reports):
+            exact, seed_part = reciprocal_sum(build_descriptor(eig, g.num_edges, bipartite, n))
+            assert report.routes["kemeny"]["spectrum_sum"] == float(exact) + seed_part
+            counts = predicted_counts(g.num_vertices, g.num_edges, n)
+            assert (report.num_vertices, report.num_edges) == counts
+
+    @given(connected_graphs(max_vertices=8, max_extra_edges=4), st.integers(0, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_thirds_carry_equals_per_band_fractions(self, g, n):
+        d = descriptor_for(g, n)
+        assert reciprocal_sum(d)[0] == reciprocal_sum_fraction(d)
 
 
 class TestMultiplicityOf:
