@@ -169,8 +169,23 @@ def _run_triangulate(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
     return format_edge_list(tg), 0
 
 
-# One `exceptional` element as _json_doc lays it out (no string needs escaping).
+# One `exceptional` element and one `expanded` element as _json_doc lays them
+# out (no string needs escaping, and json writes a float as its repr).
 _BAND_JSON = '\n    [\n      %d,\n      "%s",\n      "%s"\n    ]'
+_VALUE_JSON = "\n    %r"
+
+
+def _json_with_lists(doc: dict, lists: dict[str, list[str]]) -> str:
+    """``_json_doc(doc)`` with the top-level lists in ``lists`` (key -> its
+    elements, already laid out) joined in as text."""
+    rest = _json_doc({**doc, **dict.fromkeys(lists, [])})
+    parts = []
+    for key in sorted(lists):  # the order sort_keys writes them in
+        head, _, rest = rest.partition(f'"{key}": []')
+        items = ",".join(lists[key])
+        parts += (head, f'"{key}": [', items, "\n  ]" if items else "]")
+    parts.append(rest)
+    return "".join(parts)
 
 
 def _run_spectrum(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
@@ -179,12 +194,11 @@ def _run_spectrum(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
     if args.expand:
         doc["expanded"] = expand_descriptor(descriptor)
     if args.output_format == "json":
-        # Megabytes of digits: template the bands, skip the pure-Python indent encoder.
-        if not doc["exceptional"]:
-            return _json_doc(doc), 0
-        head, _, tail = _json_doc({**doc, "exceptional": []}).partition('"exceptional": []')
-        items = ",".join(_BAND_JSON % tuple(band) for band in doc["exceptional"])
-        return "".join((head, '"exceptional": [', items, "\n  ]", tail)), 0
+        # Megabytes of digits: template the lists, skip the pure-Python indent encoder.
+        lists = {"exceptional": [_BAND_JSON % tuple(band) for band in doc["exceptional"]]}
+        if args.expand:
+            lists["expanded"] = [_VALUE_JSON % value for value in doc["expanded"]]
+        return _json_with_lists(doc, lists), 0
     values = [value for value, _ in descriptor.eigenvalue_classes()]
     mults = [str(m) for _, m in descriptor.effective_seed()] + [b[2] for b in doc["exceptional"]]
     classes = sorted(zip(values, mults), key=lambda pair: pair[0])

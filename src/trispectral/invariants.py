@@ -41,7 +41,9 @@ IDENTITY_RTOL = 1e-12
 DECIMAL_DIGIT_CAP = 100_000
 
 # Largest materialized graph for the dense oracle routes of `verify_all`.  The
-# float oracles (Cholesky-checked inverses) cost O(N^3) time and O(N^2) memory.
+# float oracles (the inverse of the grounded Laplacian's Schur complement, about
+# N/3 rows on a triangulation, and the inverse of an N-row Cholesky factor) cost
+# O(N^3) time and O(N^2) memory.
 VERIFY_MATERIALIZE_CAP = 1200
 
 _LOG10_3 = math.log10(3)

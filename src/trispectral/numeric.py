@@ -1,19 +1,22 @@
 """Symmetric linear algebra over graphs.
 
 The normalized Laplacian, an eigensolver with a residual contract, two direct
-oracles on Cholesky-checked inverses (resistance distances from the grounded
-Laplacian, Kemeny's constant from the normalized Laplacian plus its
-stationary rank-one term), and the exact matrix-tree determinant by sparse
-fraction-free elimination, in minimum-degree order, of integer rows over
-positive row denominators.
+oracles on Cholesky-checked matrices (resistance distances from the grounded
+Laplacian, whose greedy independent set is eliminated in closed form so that
+only the Schur complement of the other vertices is inverted; Kemeny's
+constant as the squared Frobenius norm of the inverse Cholesky factor of the
+normalized Laplacian plus its stationary rank-one term), and the exact
+matrix-tree determinant by sparse fraction-free elimination, in
+multiple-minimum-degree order, of integer rows over positive row denominators.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -25,6 +28,9 @@ DEFAULT_EIG_TOL = 1e-10
 # smaller pivot puts the condition number above 2^26, so the inverse could not
 # be trusted to 1e-8; and a singular Laplacian can round to a tiny positive pivot.
 _PIVOT_RTOL = 2.0**-26
+
+# Largest triangular block that _lower_inverse inverts in one LAPACK call.
+_TRIANGULAR_BASE = 32
 
 
 class NumericError(RuntimeError):
@@ -63,12 +69,20 @@ class EigenResult:
     residual: float
 
 
+def _endpoints(g: Graph) -> np.ndarray:
+    """The edges as a 2 x E index array (rows u and v).  ``np.fromiter`` over
+    the flattened pairs takes about a third of the time of ``np.array(g.edges)``
+    on a few hundred edges."""
+    flat = np.fromiter(itertools.chain.from_iterable(g.edges), np.intp, 2 * g.num_edges)
+    return flat.reshape(-1, 2).T
+
+
 def normalized_laplacian(g: Graph) -> SymmetricMatrix:
     """Identity minus the degree-normalized adjacency: 1 on the diagonal,
     -1/sqrt(d_i d_j) on edges, 0 elsewhere."""
     inv_sqrt = 1.0 / np.sqrt(np.array(g.degrees, dtype=float))
     m = np.zeros((g.num_vertices, g.num_vertices))
-    us, vs = np.array(g.edges).T
+    us, vs = _endpoints(g)
     w = -inv_sqrt[us] * inv_sqrt[vs]
     m[us, vs] = w
     m[vs, us] = w
@@ -98,37 +112,81 @@ def eigenvalues_sym(m: SymmetricMatrix) -> EigenResult:
     return EigenResult(tuple(float(x) for x in w), residual)
 
 
-def _spd_inverse(a: np.ndarray, name: str) -> np.ndarray:
-    """Inverse of a symmetric matrix that a Cholesky factorization shows to be
-    positive definite, with every pivot at least _PIVOT_RTOL times the
-    largest diagonal entry; raises NumericError naming the matrix otherwise."""
+def _cholesky(a: np.ndarray, name: str, largest: float) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite matrix whose
+    pivots are all at least _PIVOT_RTOL times ``largest``, the largest
+    diagonal entry of the matrix before any block of it was eliminated;
+    raises NumericError naming the matrix otherwise."""
     try:
-        pivot = float(np.linalg.cholesky(a).diagonal().min()) ** 2
+        factor = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        pivot = 0.0
-    if pivot < _PIVOT_RTOL * float(a.diagonal().max()):
+        factor = None
+    if factor is None or factor.diagonal().min(initial=np.inf) ** 2 < _PIVOT_RTOL * largest:
         raise NumericError(f"the {name} is not positive definite (is the graph connected?)")
-    return np.linalg.inv(a)
+    return factor
+
+
+def _lower_inverse(c: np.ndarray) -> np.ndarray:
+    """Inverse of a lower triangular matrix by halving: the inverse of
+    [[A, 0], [B, D]] is [[A^-1, 0], [-D^-1 B A^-1, D^-1]]."""
+    size = c.shape[0]
+    if size <= _TRIANGULAR_BASE:
+        return np.linalg.inv(c)
+    half = size // 2
+    out = np.zeros_like(c)
+    out[:half, :half] = a_inv = _lower_inverse(c[:half, :half])
+    out[half:, half:] = d_inv = _lower_inverse(c[half:, half:])
+    out[half:, :half] = -(d_inv @ c[half:, :half]) @ a_inv
+    return out
+
+
+def _independent_order(g: Graph, size: int) -> tuple[list[int], int]:
+    """The vertices 0..size-1 with a greedy independent set of them first
+    (fewest neighbours first, ties by index), then the rest in index order;
+    returns the order and the size of the independent set."""
+    chosen, blocked = [], [False] * g.num_vertices
+    for v in sorted(range(size), key=g.degrees.__getitem__):
+        if not blocked[v]:
+            chosen.append(v)
+            for w in g.adjacency[v]:
+                blocked[w] = True
+    return chosen + [v for v in range(size) if blocked[v]], len(chosen)
 
 
 def resistance_distances(g: Graph) -> np.ndarray:
     """Pairwise effective resistances with unit resistors on every edge.
 
     The combinatorial Laplacian with the last vertex grounded (its row and
-    column replaced by the identity's) is inverted; with that vertex's diagonal
-    entry then set to 0 the inverse M is a generalized inverse of the
-    Laplacian, and r_ij = M_ii + M_jj - 2 M_ij.
+    column deleted) is inverted by blocks: a greedy independent set I of the
+    other vertices comes first, so its block is the diagonal D_I, and only the
+    Schur complement S = L_OO - L_OI D_I^-1 L_IO of the rest O is inverted.
+    With zeros for the grounded vertex the inverse M is a generalized inverse
+    of the Laplacian, and r_ij = M_ii + M_jj - 2 M_ij.
     """
-    lap = np.zeros((g.num_vertices, g.num_vertices))
-    us, vs = np.array(g.edges).T
-    lap[us, vs] = -1.0
-    lap[vs, us] = -1.0
-    np.fill_diagonal(lap, np.array(g.degrees, dtype=float))
-    lap[-1] = lap[:, -1] = 0.0
-    lap[-1, -1] = 1.0
-    m = _spd_inverse(lap, "grounded Laplacian")
-    m[-1, -1] = 0.0
-    diag = np.diag(m).copy()
+    size = g.num_vertices - 1
+    order, k = _independent_order(g, size)
+    order.append(size)
+    position = np.array(order).argsort()
+    lap = np.zeros((size + 1, size + 1))
+    us, vs = position[_endpoints(g)]
+    lap[us, vs] = lap[vs, us] = -1.0
+    degrees = np.array(g.degrees, dtype=float)[order]
+    np.fill_diagonal(lap, degrees)
+    d_inv = 1.0 / degrees[:k]
+    l_io = lap[:k, k:size]
+    w = l_io * d_inv[:, None]  # D_I^-1 L_IO
+    schur = lap[k:size, k:size] - l_io.T @ w
+    _cholesky(schur, "grounded Laplacian", float(degrees[:size].max()))
+    # M_OO = S^-1, M_IO = -W S^-1 and M_II = D_I^-1 + W S^-1 W^T, with W = D_I^-1 L_IO.
+    m = np.zeros_like(lap)
+    m[k:size, k:size] = s_inv = np.linalg.inv(schur)
+    ws = w @ s_inv
+    m[:k, :k] = ws @ w.T
+    m.flat[: k * (size + 2) : size + 2] += d_inv
+    m[:k, k:size] = m_io = -ws
+    m[k:size, :k] = m_io.T
+    m = m.take(position, 0).take(position, 1)
+    diag = m.diagonal()
     r = diag[:, None] + diag[None, :]
     r -= m
     r -= m.T
@@ -147,12 +205,16 @@ def kf_star_direct(g: Graph) -> float:
 def kemeny_direct(g: Graph) -> float:
     """Kemeny's constant from first principles: tr(Z) - 1 for the fundamental
     matrix Z = (I - P + 1 pi^T)^-1 of the random walk, which is similar to
-    (L + u u^T)^-1 for the normalized Laplacian L and u = sqrt(d / 2E)."""
+    (L + u u^T)^-1 for the normalized Laplacian L and u = sqrt(d / 2E).  With
+    L + u u^T = C C^T, the trace is the squared Frobenius norm of C^-1."""
     d = np.array(g.degrees, dtype=float)
     u = np.sqrt(d / d.sum())
     m = np.outer(u, u)
     m += normalized_laplacian(g).entries
-    return float(np.trace(_spd_inverse(m, "normalized Laplacian plus u u^T"))) - 1.0
+    c_inv = _lower_inverse(
+        _cholesky(m, "normalized Laplacian plus u u^T", float(m.diagonal().max()))
+    )
+    return float(np.square(c_inv, out=c_inv).sum()) - 1.0
 
 
 def spanning_trees_matrix_tree(g: Graph) -> int:
@@ -160,7 +222,8 @@ def spanning_trees_matrix_tree(g: Graph) -> int:
     with the last row and column deleted, by sparse exact elimination.
 
     Each grounded-Laplacian row is a dict of integers over a denominator.
-    Vertices are eliminated in greedy minimum-degree order, which on an
+    Vertices are eliminated in multiple-minimum-degree order (each step takes
+    mutually non-adjacent vertices of least current degree), which on an
     iterated triangulation is a perfect elimination order with no fill outside
     the seed block.  The order comes from the current degrees alone, so the
     count does not depend on how the graph was built.
@@ -177,9 +240,13 @@ def _integer_determinant(rows: list[dict[int, int]], den: list[int]) -> int:
     """Integer determinant of a symmetric positive definite matrix: row i is
     ``rows[i]`` over ``den[i] > 0``, sparse integers that hold the diagonal.
 
-    Fraction-free symmetric elimination without pivoting (after Bareiss),
-    fewest entries first (ties by index, lazy heap).  Consumes ``rows`` and
-    ``den``.  Raises NumericError on a pivot <= 0 or a non-integer product.
+    Fraction-free symmetric elimination without pivoting (after Bareiss), in
+    multiple-minimum-degree order: each step takes the rows with the fewest
+    entries (ties by index, lazy heap) that share no entry with one another
+    and eliminates them as one batch, so a row they update is rescaled once,
+    by the least common multiple of the scales its pivots need.  Consumes
+    ``rows`` and ``den``.  Raises NumericError on a pivot <= 0 or a
+    non-integer product.
     """
     heap = [(len(row), i) for i, row in enumerate(rows)]
     heapq.heapify(heap)
@@ -188,29 +255,44 @@ def _integer_determinant(rows: list[dict[int, int]], den: list[int]) -> int:
         length, k = heapq.heappop(heap)
         if length != len(rows[k]):
             continue  # stale heap entry; an eliminated row is left empty
-        row, rows[k] = rows[k], {}
-        pivot = row.pop(k)
-        if pivot <= 0:
-            raise NumericError(
-                f"pivot {Fraction(pivot, den[k])} at vertex {k} is not positive: "
-                "the matrix is not positive definite"
-            )
-        common = gcd(pivot, den[k])
-        numerator *= pivot // common
-        denominator *= den[k] // common
-        content = gcd(pivot, *row.values())
-        for i in row:
-            row_i = rows[i]
-            a_ik = row_i.pop(k)
-            h = pivot // gcd(pivot, a_ik * content)  # least integral scale
+        batch, blocked = [k], set(rows[k])
+        while heap and heap[0][0] == length:
+            _, k = heapq.heappop(heap)
+            # A row next to the batch is updated below and pushed again.
+            if length == len(rows[k]) and k not in blocked:
+                batch.append(k)
+                blocked.update(rows[k])
+        updates: dict[int, list[tuple[int, int, int, dict[int, int]]]] = {}
+        for k in batch:
+            row, rows[k] = rows[k], {}
+            pivot = row.pop(k)
+            if pivot <= 0:
+                raise NumericError(
+                    f"pivot {Fraction(pivot, den[k])} at vertex {k} is not positive: "
+                    "the matrix is not positive definite"
+                )
+            common = gcd(pivot, den[k])
+            numerator *= pivot // common
+            denominator *= den[k] // common
+            entry = k, pivot, gcd(pivot, *row.values()), row
+            for i in row:
+                updates.setdefault(i, []).append(entry)
+        for i, eliminated in updates.items():
+            row_i, h = rows[i], 1
+            for k, pivot, content, _ in eliminated:
+                h = lcm(h, pivot // gcd(pivot, row_i[k] * content))  # least integral scale
             if h != 1:
                 row_i = {j: h * a_ij for j, a_ij in row_i.items()}
-            for j, a_kj in row.items():
-                row_i[j] = row_i.get(j, 0) - a_ik * h * a_kj // pivot  # exact division
+            for k, pivot, _, row in eliminated:
+                a_ik = row_i.pop(k)
+                for j, a_kj in row.items():
+                    row_i[j] = row_i.get(j, 0) - a_ik * a_kj // pivot  # exact division
             if h != 1:
                 common = gcd(den[i] * h, *row_i.values())
                 den[i] = den[i] * h // common
-                rows[i] = row_i = {j: a_ij // common for j, a_ij in row_i.items()}
+                if common != 1:
+                    row_i = {j: a_ij // common for j, a_ij in row_i.items()}
+                rows[i] = row_i
             heapq.heappush(heap, (len(row_i), i))
     if numerator % denominator:
         raise NumericError(f"pivot product {Fraction(numerator, denominator)} is not an integer")

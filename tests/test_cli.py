@@ -137,11 +137,12 @@ class TestSpectrum:
         "seed,n,expand",
         [(K3, 0, False), (K3, 1, False), (K3, 7, False), (K3, 2000, False),
          (P3, 0, False), (P3, 1, False), (P3, 300, False),
-         (K3, 0, True), (K3, 2, True), (P3, 0, True), (P3, 3, True)],
+         (K3, 0, True), (K3, 1, True), (K3, 2, True), (K3, 7, True), (P3, 0, True),
+         (P3, 1, True), (P3, 3, True)],
     )
     def test_json_equals_encoder_layout(self, tmp_path, capsys, seed, n, expand):
-        # The templated band list must be what json.dumps would print, with
-        # multiplicities rendered by str(int).
+        # The templated band and expanded lists must be what json.dumps would
+        # print, with multiplicities rendered by str(int).
         path = tmp_path / "seed.edges"
         path.write_text(seed)
         d = descriptor_for(parse_edge_list(seed), n)

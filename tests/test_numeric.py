@@ -121,8 +121,9 @@ class TestEigenvaluesSym:
 
 class TestResistanceDistances:
     def test_k2(self):
+        # The only ungrounded vertex is the whole independent set: no Schur block.
         r = resistance_distances(generate("complete", 2))
-        assert r[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(r, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_k3_series_parallel(self):
         r = resistance_distances(generate("complete", 3))
@@ -133,6 +134,14 @@ class TestResistanceDistances:
     def test_p3_series(self):
         r = resistance_distances(generate("path", 3))
         assert r[0, 2] == pytest.approx(2.0, abs=1e-12)
+
+    def test_s5_leaves_eliminated_in_closed_form(self):
+        # Three leaves form the independent set; the Schur block is the hub alone.
+        r = resistance_distances(generate("star", 5))
+        expected = np.full((5, 5), 2.0)
+        expected[0, :] = expected[:, 0] = 1.0
+        np.fill_diagonal(expected, 0.0)
+        assert np.array_equal(r, expected)
 
     def test_c4_values(self):
         r = resistance_distances(generate("cycle", 4))
@@ -205,6 +214,25 @@ class TestKemenyDirect:
         assert abs(Fraction(kemeny_direct(g)) - exact) <= Fraction(1e-13) * exact
 
     @given(connected_graphs())
+    def test_both_oracles_match_exact_values(self, g):
+        # Kf* = 2E * Kemeny exactly, so one exact fundamental matrix checks both.
+        exact = kemeny_fraction(g)
+        assert abs(Fraction(kemeny_direct(g)) - exact) <= Fraction(1e-13) * exact
+        kf = 2 * g.num_edges * exact
+        assert abs(Fraction(kf_star_direct(g)) - kf) <= Fraction(1e-13) * kf
+
+    def test_triangle_at_depth_four(self):
+        # 123 vertices: the Schur complement has 42 and the halving triangular
+        # inverse recurses twice before its 32-row base case.
+        g = iterate_triangulation(generate("complete", 3), 4)
+        assert np.allclose(resistance_distances(g), pseudoinverse_resistances(g),
+                           rtol=1e-12, atol=1e-12)
+        lam = eigenvalues_sym(normalized_laplacian(g)).eigenvalues
+        spectral = math.fsum(1 / x for x in lam[1:])
+        assert kemeny_direct(g) == pytest.approx(spectral, rel=1e-13)
+        assert kf_star_direct(g) == pytest.approx(2 * g.num_edges * spectral, rel=1e-13)
+
+    @given(connected_graphs())
     def test_agrees_with_spectral_sum(self, g):
         lam = eigenvalues_sym(normalized_laplacian(g)).eigenvalues
         spectral = math.fsum(1 / x for x in lam[1:])
@@ -215,7 +243,7 @@ class TestKemenyDirect:
 class TestKfStarDirect:
     @pytest.mark.parametrize(
         "kind,size,expected",
-        [("complete", 2, 1.0), ("complete", 3, 8.0), ("path", 3, 6.0)],
+        [("complete", 2, 1.0), ("complete", 3, 8.0), ("path", 3, 6.0), ("star", 5, 28.0)],
     )
     def test_frozen_values(self, kind, size, expected):
         assert kf_star_direct(generate(kind, size)) == pytest.approx(expected, rel=1e-12)
@@ -288,6 +316,12 @@ class TestSpanningTreeCounters:
             for i, (row, d) in enumerate(zip(m, den))
         ]
         assert _integer_determinant(rows, den) == bareiss_determinant([r[:] for r in m])
+
+    def test_batch_rescales_shared_row_by_lcm(self):
+        # Rows 0 and 1 share no entry, so they are eliminated as one batch;
+        # row 2 needs scale 2 for the first pivot and 3 for the second.
+        rows = [{0: 2, 2: 1}, {1: 3, 2: 1}, {0: 1, 1: 1, 2: 5}]
+        assert _integer_determinant(rows, [1, 1, 1]) == 25
 
     def test_elimination_rejects_nonpositive_pivot(self):
         # [[1, 2], [2, 1]] is indefinite: the second pivot is 1 - 4 = -3.
