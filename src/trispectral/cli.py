@@ -20,16 +20,16 @@ from typing import Callable, Sequence
 
 from .graph import (
     DEFAULT_VERTEX_CAP,
+    CapExceededError,
     Graph,
     GraphInputError,
-    VertexCapExceededError,
     analyze,
     format_edge_list,
     iterate_triangulation,
     parse_edge_list,
 )
 from .invariants import VERIFY_MATERIALIZE_CAP, InvariantReport, verify_all
-from .spectra import ExpansionCapError, descriptor_for, expand_descriptor
+from .spectra import descriptor_for, expand_descriptor
 
 _FORMATS = ("json", "csv", "text")
 
@@ -110,7 +110,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write(text)
         else:
             args.output_path.write_text(text)
-    except (GraphInputError, OSError) as exc:
+    except (GraphInputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:
@@ -119,7 +119,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    except (VertexCapExceededError, ExpansionCapError) as exc:
+    except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(
             "hint: the spectrum command works symbolically and never "
@@ -134,9 +134,11 @@ def _json_doc(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_doc(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+def _csv_doc(
+    header: Sequence[str], rows: Sequence[Sequence[object]], delimiter: str = ","
+) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
@@ -247,12 +249,10 @@ def _run_invariants(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
     status = 0 if result.passed else 1
     if args.output_format == "json":
         return _json_doc({"reports": [r.to_json_dict() for r in result.reports]}), status
+    rows = [_report_row(r) for r in result.reports]
     if args.output_format == "csv":
-        return _csv_doc(_REPORT_COLUMNS, [_report_row(r) for r in result.reports]), status
-    lines = ["\t".join(_REPORT_COLUMNS)]
-    for report in result.reports:
-        lines.append("\t".join(str(cell) for cell in _report_row(report)))
-    return "\n".join(lines) + "\n", status
+        return _csv_doc(_REPORT_COLUMNS, rows), status
+    return _csv_doc(_REPORT_COLUMNS, rows, delimiter="\t"), status
 
 
 def _run_verify(g: Graph, args: argparse.Namespace) -> tuple[str, int]:

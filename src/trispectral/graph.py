@@ -1,4 +1,6 @@
-"""Simple connected graphs, edge-list I/O, generators, and the triangulation operator."""
+"""Simple connected graphs, edge-list I/O, generators, and the triangulation operator.
+
+Rejected input raises GraphInputError, a construction past its cap CapExceededError."""
 
 from __future__ import annotations
 
@@ -13,36 +15,17 @@ GRAPH_KINDS = ("complete", "path", "cycle", "star", "petersen")
 
 
 class GraphInputError(ValueError):
-    """Base class for invalid edge-list input or graph structure."""
+    """Invalid edge-list input or graph structure; the message names the line,
+    edge or count at fault."""
 
 
-class EmptyInputError(GraphInputError):
-    """The input contains no edges."""
-
-
-class EdgeListFormatError(GraphInputError):
-    """Malformed edge-list line: wrong arity, non-integer or negative label."""
-
-
-class SelfLoopError(GraphInputError):
-    """An edge joins a vertex to itself."""
-
-
-class DuplicateEdgeError(GraphInputError):
-    """The same undirected edge appears more than once."""
-
-
-class DisconnectedGraphError(GraphInputError):
-    """The vertex set does not form a single connected component."""
-
-
-class VertexCapExceededError(RuntimeError):
-    """Explicit construction would exceed the configured vertex cap."""
+class CapExceededError(RuntimeError):
+    """An explicit construction or a spectrum expansion would exceed its cap."""
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple connected undirected graph.
+    """Immutable simple connected undirected graph on the vertices 0..N-1.
 
     Edges are stored in canonical lexicographic order with ``u < v`` and
     adjacency lists are sorted, so identical inputs always produce identical
@@ -61,54 +44,53 @@ class Graph:
         return len(self.edges)
 
     @classmethod
-    def from_edges(
-        cls, edges: Iterable[tuple[int, int]], num_vertices: int | None = None
-    ) -> "Graph":
+    def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Validate and canonicalize an edge collection into a Graph.
 
-        Vertices are the labels 0..max-label (or 0..num_vertices-1 when given
-        explicitly).  Raises a distinct GraphInputError subclass for each
-        rejection reason.
+        A connected graph has no isolated vertex, so the vertices are the
+        labels 0..max-label.  Raises GraphInputError on a self-loop, a
+        negative label, a duplicate edge, no edges, or a disconnected graph.
         """
         canonical: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         max_label = -1
         for u, v in edges:
             if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}")
+                raise GraphInputError(f"self-loop at vertex {u}")
             if u < 0 or v < 0:
-                raise EdgeListFormatError(f"negative vertex label in edge ({u}, {v})")
+                raise GraphInputError(f"negative vertex label in edge ({u}, {v})")
             pair = (u, v) if u < v else (v, u)
             if pair in seen:
-                raise DuplicateEdgeError(f"duplicate edge {pair}")
+                raise GraphInputError(f"duplicate edge {pair}")
             seen.add(pair)
             canonical.append(pair)
             if pair[1] > max_label:
                 max_label = pair[1]
         if not canonical:
-            raise EmptyInputError("a graph needs at least one edge")
-        n = max_label + 1 if num_vertices is None else num_vertices
-        if n < max_label + 1:
-            raise GraphInputError(
-                f"num_vertices={n} is below the largest label {max_label}"
-            )
+            raise GraphInputError("a graph needs at least one edge")
+        n = max_label + 1
         if n - 1 > len(canonical):  # before allocating n lists for a huge label
-            raise DisconnectedGraphError(
+            raise GraphInputError(
                 f"graph is disconnected: {n} vertices need at least {n - 1} edges, "
                 f"got {len(canonical)}"
             )
         canonical.sort()
+        # In canonical order each vertex meets its smaller neighbours first,
+        # then its larger ones, each in ascending order: the lists come out sorted.
         adjacency: list[list[int]] = [[] for _ in range(n)]
         for u, v in canonical:
             adjacency[u].append(v)
             adjacency[v].append(u)
-        _require_connected(n, adjacency)
-        degrees = tuple(len(nbrs) for nbrs in adjacency)
+        reached = n - _two_colouring(n, adjacency).count(-1)
+        if reached != n:
+            raise GraphInputError(
+                f"graph is disconnected: reached {reached} of {n} vertices from vertex 0"
+            )
         return cls(
             num_vertices=n,
             edges=tuple(canonical),
-            adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
-            degrees=degrees,
+            adjacency=tuple(map(tuple, adjacency)),
+            degrees=tuple(map(len, adjacency)),
         )
 
 
@@ -138,14 +120,6 @@ def _two_colouring(n: int, adjacency: Sequence[Sequence[int]]) -> list[int]:
     return colour
 
 
-def _require_connected(n: int, adjacency: Sequence[Sequence[int]]) -> None:
-    reached = n - _two_colouring(n, adjacency).count(-1)
-    if reached != n:
-        raise DisconnectedGraphError(
-            f"graph is disconnected: reached {reached} of {n} vertices from vertex 0"
-        )
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse ``u v`` pairs (one per line, 0-based labels, ``#`` comments) into a Graph."""
     pairs: list[tuple[int, int]] = []
@@ -155,22 +129,22 @@ def parse_edge_list(text: str) -> Graph:
             continue
         tokens = line.split()
         if len(tokens) != 2:
-            raise EdgeListFormatError(
+            raise GraphInputError(
                 f"line {lineno}: expected two vertex labels, got {raw.strip()!r}"
             )
         try:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise EdgeListFormatError(
+            raise GraphInputError(
                 f"line {lineno}: non-integer vertex label in {raw.strip()!r}"
             ) from None
         if u < 0 or v < 0:
-            raise EdgeListFormatError(
+            raise GraphInputError(
                 f"line {lineno}: negative vertex label in {raw.strip()!r}"
             )
         pairs.append((u, v))
     if not pairs:
-        raise EmptyInputError("no edges in input")
+        raise GraphInputError("no edges in input")
     return Graph.from_edges(pairs)
 
 
@@ -220,7 +194,7 @@ def triangulate(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """
     new_n = g.num_vertices + g.num_edges
     if new_n > cap:
-        raise VertexCapExceededError(
+        raise CapExceededError(
             f"triangulation needs {new_n} vertices, explicit-construction cap is {cap}"
         )
     edges = list(g.edges)
@@ -228,16 +202,14 @@ def triangulate(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
         w = g.num_vertices + k
         edges.append((u, w))
         edges.append((v, w))
-    return Graph.from_edges(edges, num_vertices=new_n)
+    return Graph.from_edges(edges)
 
 
 def iterate_triangulation(g: Graph, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Apply the triangulation operator n times (n = 0 returns the input)."""
-    if n < 0:
-        raise ValueError("iteration count must be nonnegative")
     final_vertices, _ = predicted_counts(g.num_vertices, g.num_edges, n)
     if final_vertices > cap:
-        raise VertexCapExceededError(
+        raise CapExceededError(
             f"{n} iterations need {count_text(final_vertices)} vertices, "
             f"explicit-construction cap is {cap}"
         )
@@ -275,4 +247,4 @@ def generate(kind: str, size: int) -> Graph:
             edges.append((i + 5, (i + 2) % 5 + 5))  # inner pentagram
     else:
         raise ValueError(f"unknown graph kind {kind!r}; choose from {GRAPH_KINDS}")
-    return Graph.from_edges(edges, num_vertices=size)
+    return Graph.from_edges(edges)

@@ -179,21 +179,13 @@ def kappa(n0: int, e0: int, n: int) -> int:
 
 
 def spanning_trees_closed(nst0: int, n0: int, e0: int, n: int) -> SpanningTreeCount:
-    """Spanning-tree count of the depth-n triangulation in exact factored form."""
-    if nst0 < 1:
-        raise ValueError("seed spanning-tree count must be >= 1")
-    if n < 0:
-        raise ValueError("depth must be nonnegative")
+    """Spanning-tree count of the depth-n triangulation in exact factored form,
+    3^(kappa - n) * 2^(kappa - n(2 n0 - e0 - 1)) * nst0 (nst0 at depth 0).
+    :func:`kappa` rejects a negative depth, SpanningTreeCount a seed count below 1."""
     if n == 0:
         return SpanningTreeCount(0, 0, nst0)
     k = kappa(n0, e0, n)
-    pow3 = k - n
-    pow2 = k - n * (2 * n0 - e0 - 1)
-    if pow3 < 0 or pow2 < 0:
-        raise RuntimeError(
-            f"internal inconsistency: negative exponent (pow3={pow3}, pow2={pow2})"
-        )
-    return SpanningTreeCount(pow3, pow2, nst0)
+    return SpanningTreeCount(k - n, k - n * (2 * n0 - e0 - 1), nst0)
 
 
 def spanning_trees_step(

@@ -34,11 +34,8 @@ _TRIANGULAR_BASE = 32
 
 
 class NumericError(RuntimeError):
-    """Base class for numerical failures in this module."""
-
-
-class EigensolverError(NumericError):
-    """Eigendecomposition failed or did not reach the requested residual."""
+    """A numerical failure: an eigendecomposition that did not converge or
+    reach its residual, or a matrix that is not positive definite."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,19 +91,19 @@ def eigenvalues_sym(m: SymmetricMatrix) -> EigenResult:
     """All eigenvalues of a symmetric matrix, ascending, with residual <=
     DEFAULT_EIG_TOL.
 
-    Deterministic for fixed input.  Raises EigensolverError when the
+    Deterministic for fixed input.  Raises NumericError when the
     decomposition fails to converge or the residual exceeds the tolerance.
     """
     a = m.entries
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigendecomposition did not converge: {exc}") from exc
+        raise NumericError(f"eigendecomposition did not converge: {exc}") from exc
     r = a @ v
     r -= v * w
     residual = float(np.abs(r, out=r).max())
     if residual > DEFAULT_EIG_TOL:
-        raise EigensolverError(
+        raise NumericError(
             f"achieved residual {residual:.3e} exceeds tolerance {DEFAULT_EIG_TOL:.1e}"
         )
     return EigenResult(tuple(float(x) for x in w), residual)
@@ -189,8 +186,7 @@ def resistance_distances(g: Graph) -> np.ndarray:
     diag = m.diagonal()
     r = diag[:, None] + diag[None, :]
     r -= m
-    r -= m.T
-    np.fill_diagonal(r, 0.0)
+    r -= m.T  # the diagonal is exactly 0: 2x - x - x rounds to nothing
     return r
 
 

@@ -28,7 +28,7 @@ from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, loca
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .graph import Graph, analyze, count_text
+from .graph import CapExceededError, Graph, analyze, count_text
 from .numeric import eigenvalues_sym, normalized_laplacian
 
 DEFAULT_EXPANSION_CAP = 10**6
@@ -40,10 +40,6 @@ SEED_MATCH_TOL = 1e-9
 # The two values every generation injects, in band order, and their labels.
 EXCEPTIONAL_VALUES = (Fraction(3, 2), Fraction(1))
 _EXCEPTIONAL_LABELS = ("3/2", "1")
-
-
-class ExpansionCapError(RuntimeError):
-    """Materializing the spectrum would exceed the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -241,7 +237,7 @@ def expand_descriptor(d: SpectrumDescriptor) -> list[float]:
     DEFAULT_EXPANSION_CAP values)."""
     total = d.total_multiplicity
     if total > DEFAULT_EXPANSION_CAP:
-        raise ExpansionCapError(
+        raise CapExceededError(
             f"expansion needs {count_text(total)} values, cap is {DEFAULT_EXPANSION_CAP}"
         )
     values: list[float] = []

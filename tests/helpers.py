@@ -223,7 +223,7 @@ def connected_graphs(draw, max_vertices: int = 10, max_extra_edges: int = 6) -> 
     for u, v in extra:
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    return Graph.from_edges(sorted(edges), num_vertices=n)
+    return Graph.from_edges(sorted(edges))
 
 
 @st.composite
@@ -237,7 +237,7 @@ def fill_heavy_graphs(draw, max_vertices: int = 30) -> Graph:
     for u, v in combinations(range(n), 2):
         if rng.random() < density:
             edges.add((u, v))
-    return Graph.from_edges(sorted(edges), num_vertices=n)
+    return Graph.from_edges(sorted(edges))
 
 
 @st.composite

@@ -249,6 +249,14 @@ class TestErrorPaths:
         path.write_text("0 0\n")
         assert main(["analyze", str(path)]) == 2
 
+    def test_non_utf8_input(self, tmp_path, capsys):
+        path = tmp_path / "bad.edges"
+        path.write_bytes(b"\xff\xfe0 1\n")
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "can't decode byte 0xff" in captured.err
+
     def test_unwritable_output_path(self, k3_file, tmp_path, capsys):
         out_path = tmp_path / "missing" / "out.txt"
         assert main(["analyze", str(k3_file), "-o", str(out_path)]) == 2

@@ -6,13 +6,9 @@ from hypothesis import strategies as st
 
 from helpers import connected_graphs
 from trispectral.graph import (
-    DisconnectedGraphError,
-    DuplicateEdgeError,
-    EdgeListFormatError,
-    EmptyInputError,
+    CapExceededError,
     Graph,
-    SelfLoopError,
-    VertexCapExceededError,
+    GraphInputError,
     analyze,
     format_edge_list,
     generate,
@@ -40,49 +36,80 @@ class TestParseEdgeList:
         assert g.num_edges == 2
 
     def test_duplicate_edge(self):
-        with pytest.raises(DuplicateEdgeError):
+        with pytest.raises(GraphInputError, match=r"^duplicate edge \(0, 1\)$"):
             parse_edge_list("0 1\n0 1")
 
     def test_duplicate_edge_reversed(self):
-        with pytest.raises(DuplicateEdgeError):
+        with pytest.raises(GraphInputError, match=r"^duplicate edge \(0, 1\)$"):
             parse_edge_list("0 1\n1 0")
 
     def test_self_loop(self):
-        with pytest.raises(SelfLoopError):
+        with pytest.raises(GraphInputError, match="^self-loop at vertex 1$"):
             parse_edge_list("1 1")
 
     def test_disconnected(self):
-        with pytest.raises(DisconnectedGraphError):
+        with pytest.raises(GraphInputError, match="^graph is disconnected: 4 vertices need"):
             parse_edge_list("0 1\n2 3")
 
     def test_label_beyond_edge_count_rejected_by_count(self):
         # Two edges cannot connect 10**6 + 1 vertices; no adjacency list is needed to say so.
-        with pytest.raises(DisconnectedGraphError, match="need at least 1000000 edges, got 2"):
+        with pytest.raises(GraphInputError, match="need at least 1000000 edges, got 2"):
             Graph.from_edges([(0, 1), (1, 10**6)])
 
+    def test_missing_label_counts_as_a_vertex(self):
+        # The vertex count is the largest label plus 1, so the unused label 2 is a vertex.
+        with pytest.raises(GraphInputError, match="4 vertices need at least 3 edges, got 2$"):
+            parse_edge_list("0 1\n1 3")
+        with pytest.raises(GraphInputError, match="reached 3 of 4 vertices from vertex 0$"):
+            parse_edge_list("0 1\n1 3\n0 3")
+
     def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(GraphInputError, match="^no edges in input$"):
             parse_edge_list("")
 
     def test_comment_only_input(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(GraphInputError, match="^no edges in input$"):
             parse_edge_list("# nothing here\n")
 
     def test_non_integer_token(self):
-        with pytest.raises(EdgeListFormatError):
+        with pytest.raises(GraphInputError, match="^line 1: non-integer vertex label in '0 x'$"):
             parse_edge_list("0 x")
 
     def test_wrong_arity(self):
-        with pytest.raises(EdgeListFormatError):
+        with pytest.raises(GraphInputError, match="^line 1: expected two vertex labels, got"):
             parse_edge_list("0 1 2")
 
     def test_negative_label(self):
-        with pytest.raises(EdgeListFormatError):
+        with pytest.raises(GraphInputError, match="^line 1: negative vertex label in '-1 0'$"):
             parse_edge_list("-1 0")
 
     def test_roundtrip_through_writer(self):
         g = generate("petersen", 10)
         assert parse_edge_list(format_edge_list(g)) == g
+
+
+class TestFromEdges:
+    # parse_edge_list rejects these two before from_edges sees the edges.
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([(0, 1), (-1, 1)], r"^negative vertex label in edge \(-1, 1\)$"),
+            ([], r"^a graph needs at least one edge$"),
+        ],
+    )
+    def test_rejections(self, edges, message):
+        with pytest.raises(GraphInputError, match=message):
+            Graph.from_edges(edges)
+
+    @given(connected_graphs(), st.randoms(use_true_random=False))
+    def test_edge_order_and_orientation_do_not_matter(self, g, rng):
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+        rng.shuffle(edges)
+        h = Graph.from_edges(edges)
+        assert h == g
+        neighbours = [sorted(w for e in g.edges if v in e for w in e if w != v)
+                      for v in range(g.num_vertices)]
+        assert [list(nbrs) for nbrs in h.adjacency] == neighbours
 
 
 class TestAnalyze:
@@ -129,10 +156,14 @@ class TestTriangulate:
         assert (t.num_vertices, t.num_edges) == (6, 9)
 
     def test_cap_guard(self):
-        with pytest.raises(VertexCapExceededError):
+        with pytest.raises(CapExceededError, match="^triangulation needs 10 vertices, "):
             triangulate(generate("complete", 4), cap=9)
-        with pytest.raises(VertexCapExceededError):
+        with pytest.raises(CapExceededError, match="^10 iterations need 88575 vertices, "):
             iterate_triangulation(generate("complete", 3), 10, cap=1000)
+
+    def test_negative_iteration_count(self):
+        with pytest.raises(ValueError, match="^iteration count must be nonnegative$"):
+            iterate_triangulation(generate("complete", 3), -1)
 
     def test_deterministic(self):
         text = "2 0\n0 1\n1 2\n3 1"

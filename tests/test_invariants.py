@@ -246,6 +246,12 @@ class TestSpanningTreesClosed:
     def test_depth_zero(self):
         assert spanning_trees_closed(2000, 10, 15, 0) == 2000
 
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="^seed spanning-tree count must be >= 1$"):
+            spanning_trees_closed(0, 3, 3, 1)
+        with pytest.raises(ValueError, match="^depth must be nonnegative$"):
+            spanning_trees_closed(3, 3, 3, -1)
+
     def test_step_law_exponents(self):
         for g in corpus().values():
             n0, e0 = g.num_vertices, g.num_edges

@@ -14,11 +14,16 @@ from helpers import (
     new_unit_multiplicity,
     reciprocal_sum_fraction,
 )
-from trispectral.graph import analyze, generate, iterate_triangulation, predicted_counts
+from trispectral.graph import (
+    CapExceededError,
+    analyze,
+    generate,
+    iterate_triangulation,
+    predicted_counts,
+)
 from trispectral.invariants import verify_all
 from trispectral.numeric import eigenvalues_sym, normalized_laplacian
 from trispectral.spectra import (
-    ExpansionCapError,
     build_descriptor,
     descriptor_for,
     expand_descriptor,
@@ -276,7 +281,7 @@ class TestBandMultiplicityStrings:
 class TestExpansionCap:
     def test_cap_exceeded(self):
         d = descriptor_for(generate("complete", 3), 20)
-        with pytest.raises(ExpansionCapError):
+        with pytest.raises(CapExceededError, match="^expansion needs 5230176603 values, cap is"):
             expand_descriptor(d)
 
     def test_construction_is_uncapped(self):
