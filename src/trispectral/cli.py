@@ -110,8 +110,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write(text)
         else:
             args.output_path.write_text(text)
-    except (GraphInputError, OSError, UnicodeDecodeError) as exc:
+    except (GraphInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:
         print(

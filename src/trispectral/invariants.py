@@ -5,8 +5,8 @@ the n-fold triangulation all admit closed forms in n and the seed's own
 invariants.  Seed invariants are always obtained from first-principles
 oracles (resistance distances, the seed spectrum's reciprocal sum, the
 matrix-tree determinant); :func:`verify_all` recomputes every invariant by all
-available routes, among them a fundamental-matrix oracle for Kemeny's
-constant, and reports their agreement.
+available routes, among them a direct oracle whose Kemeny value is Kf*/2E
+from the same resistance solve, and reports their agreement.
 
 Spanning-tree counts scale like 3^(sum of generation vertex counts): the
 exponent alone exceeds 10^13 at depth 30, so the closed form is carried as an
@@ -27,7 +27,6 @@ from typing import Mapping
 from .graph import Graph, analyze, predicted_counts, triangulate
 from .numeric import (
     eigenvalues_sym,
-    kemeny_direct,
     kf_star_direct,
     normalized_laplacian,
     spanning_trees_matrix_tree,
@@ -41,9 +40,9 @@ IDENTITY_RTOL = 1e-12
 DECIMAL_DIGIT_CAP = 100_000
 
 # Largest materialized graph for the dense oracle routes of `verify_all`.  The
-# float oracles (the inverse of the grounded Laplacian's Schur complement, about
-# N/3 rows on a triangulation, and the inverse of an N-row Cholesky factor) cost
-# O(N^3) time and O(N^2) memory.
+# float oracle (the inverse of the grounded Laplacian's Schur complement, about
+# N/3 rows on a triangulation, and the N x N resistance matrix) costs O(N^3)
+# time and O(N^2) memory.
 VERIFY_MATERIALIZE_CAP = 1200
 
 _LOG10_3 = math.log10(3)
@@ -182,8 +181,6 @@ def spanning_trees_closed(nst0: int, n0: int, e0: int, n: int) -> SpanningTreeCo
     """Spanning-tree count of the depth-n triangulation in exact factored form,
     3^(kappa - n) * 2^(kappa - n(2 n0 - e0 - 1)) * nst0 (nst0 at depth 0).
     :func:`kappa` rejects a negative depth, SpanningTreeCount a seed count below 1."""
-    if n == 0:
-        return SpanningTreeCount(0, 0, nst0)
     k = kappa(n0, e0, n)
     return SpanningTreeCount(k - n, k - n * (2 * n0 - e0 - 1), nst0)
 
@@ -205,15 +202,16 @@ def spanning_trees_step(
 
 @dataclass(frozen=True)
 class SeedData:
-    """Invariants of one explicit graph, each from its own first-principles oracle."""
+    """Invariants of one explicit graph from two first-principles oracles."""
 
     kf_star: float  # resistance-distance sum over the grounded-Laplacian inverse
-    kemeny: float  # trace of the fundamental matrix, minus 1
+    kemeny: float  # kf_star / 2E: Kf* = 2E * Kemeny on every connected graph
     spanning_trees: int  # matrix-tree determinant
 
 
 def seed_data(g: Graph) -> SeedData:
-    return SeedData(kf_star_direct(g), kemeny_direct(g), spanning_trees_matrix_tree(g))
+    kf = kf_star_direct(g)
+    return SeedData(kf, kf / (2 * g.num_edges), spanning_trees_matrix_tree(g))
 
 
 @dataclass(frozen=True)
@@ -379,7 +377,7 @@ def verify_all(
                 kf_star=kf,
                 kemeny=kemeny,
                 spanning_trees=trees,
-                kappa=kappa(n0, e0, n),
+                kappa=trees.pow3 + n,  # the closed form's 3-exponent is kappa - n
                 routes=routes,
                 discrepancies=discrepancies,
             )

@@ -1,13 +1,12 @@
 """Symmetric linear algebra over graphs.
 
-The normalized Laplacian, an eigensolver with a residual contract, two direct
-oracles on Cholesky-checked matrices (resistance distances from the grounded
+The normalized Laplacian, an eigensolver with a residual contract, the
+resistance-distance oracle on a Cholesky-checked matrix (the grounded
 Laplacian, whose greedy independent set is eliminated in closed form so that
-only the Schur complement of the other vertices is inverted; Kemeny's
-constant as the squared Frobenius norm of the inverse Cholesky factor of the
-normalized Laplacian plus its stationary rank-one term), and the exact
-matrix-tree determinant by sparse fraction-free elimination, in
-multiple-minimum-degree order, of integer rows over positive row denominators.
+only the Schur complement of the other vertices is inverted; Kemeny's direct
+value is its Kf* over 2E), and the exact matrix-tree determinant by sparse
+fraction-free elimination, in multiple-minimum-degree order, of integer rows
+over positive row denominators.
 """
 
 from __future__ import annotations
@@ -28,9 +27,6 @@ DEFAULT_EIG_TOL = 1e-10
 # smaller pivot puts the condition number above 2^26, so the inverse could not
 # be trusted to 1e-8; and a singular Laplacian can round to a tiny positive pivot.
 _PIVOT_RTOL = 2.0**-26
-
-# Largest triangular block that _lower_inverse inverts in one LAPACK call.
-_TRIANGULAR_BASE = 32
 
 
 class NumericError(RuntimeError):
@@ -123,20 +119,6 @@ def _cholesky(a: np.ndarray, name: str, largest: float) -> np.ndarray:
     return factor
 
 
-def _lower_inverse(c: np.ndarray) -> np.ndarray:
-    """Inverse of a lower triangular matrix by halving: the inverse of
-    [[A, 0], [B, D]] is [[A^-1, 0], [-D^-1 B A^-1, D^-1]]."""
-    size = c.shape[0]
-    if size <= _TRIANGULAR_BASE:
-        return np.linalg.inv(c)
-    half = size // 2
-    out = np.zeros_like(c)
-    out[:half, :half] = a_inv = _lower_inverse(c[:half, :half])
-    out[half:, half:] = d_inv = _lower_inverse(c[half:, half:])
-    out[half:, :half] = -(d_inv @ c[half:, :half]) @ a_inv
-    return out
-
-
 def _independent_order(g: Graph, size: int) -> tuple[list[int], int]:
     """The vertices 0..size-1 with a greedy independent set of them first
     (fewest neighbours first, ties by index), then the rest in index order;
@@ -196,21 +178,6 @@ def kf_star_direct(g: Graph) -> float:
     r = resistance_distances(g)
     d = np.array(g.degrees, dtype=float)
     return 0.5 * float(d @ r @ d)
-
-
-def kemeny_direct(g: Graph) -> float:
-    """Kemeny's constant from first principles: tr(Z) - 1 for the fundamental
-    matrix Z = (I - P + 1 pi^T)^-1 of the random walk, which is similar to
-    (L + u u^T)^-1 for the normalized Laplacian L and u = sqrt(d / 2E).  With
-    L + u u^T = C C^T, the trace is the squared Frobenius norm of C^-1."""
-    d = np.array(g.degrees, dtype=float)
-    u = np.sqrt(d / d.sum())
-    m = np.outer(u, u)
-    m += normalized_laplacian(g).entries
-    c_inv = _lower_inverse(
-        _cholesky(m, "normalized Laplacian plus u u^T", float(m.diagonal().max()))
-    )
-    return float(np.square(c_inv, out=c_inv).sum()) - 1.0
 
 
 def spanning_trees_matrix_tree(g: Graph) -> int:

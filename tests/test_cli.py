@@ -1,10 +1,12 @@
 """CLI contract: commands, formats, exit codes, determinism."""
 
 import csv
+import dataclasses
 import gc
 import io
 import json
 
+import numpy as np
 import pytest
 
 import trispectral.invariants
@@ -227,11 +229,33 @@ class TestVerify:
         assert main(["verify", str(k3_file), "--max-n", "4"]) == 0
         assert calls == [3]
 
+    def test_one_dense_factorization_per_oracle_depth(self, k3_file, capsys, monkeypatch):
+        # Kemeny's direct value is Kf*/2E from the resistance solve, which
+        # Cholesky-checks its Schur complement once; depths 0-4 all materialize.
+        calls = {"resistance_distances": 0, "cholesky": 0}
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        solve = trispectral.numeric.resistance_distances
+        monkeypatch.setattr(trispectral.numeric, "resistance_distances",
+                            counted("resistance_distances", solve))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        assert main(["verify", str(k3_file), "--max-n", "4"]) == 0
+        assert calls == {"resistance_distances": 5, "cholesky": 5}
+
     def test_direct_kemeny_disagreement_fails_every_oracle_depth(self, k3_file, capsys,
                                                                  monkeypatch):
-        direct = trispectral.invariants.kemeny_direct
-        monkeypatch.setattr(trispectral.invariants, "kemeny_direct",
-                            lambda g: direct(g) * (1 + 1e-6))
+        direct = trispectral.invariants.seed_data
+
+        def scaled(g):
+            seed = direct(g)
+            return dataclasses.replace(seed, kemeny=seed.kemeny * (1 + 1e-6))
+
+        monkeypatch.setattr(trispectral.invariants, "seed_data", scaled)
         assert main(["verify", str(k3_file), "--max-n", "4"]) == 1
         fails = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("FAIL: ")]
@@ -256,6 +280,12 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "can't decode byte 0xff" in captured.err
+
+    def test_non_utf8_input_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.edges"
+        path.write_bytes(b"0 1\n\xff 2\n")
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode")
 
     def test_unwritable_output_path(self, k3_file, tmp_path, capsys):
         out_path = tmp_path / "missing" / "out.txt"

@@ -22,13 +22,12 @@ from helpers import (
     to_int,
 )
 from trispectral.graph import Graph, analyze, generate, iterate_triangulation, triangulate
-from trispectral.invariants import spanning_trees_closed
+from trispectral.invariants import seed_data, spanning_trees_closed
 from trispectral.numeric import (
     NumericError,
     SymmetricMatrix,
     _integer_determinant,
     eigenvalues_sym,
-    kemeny_direct,
     kf_star_direct,
     normalized_laplacian,
     resistance_distances,
@@ -192,13 +191,18 @@ def _disconnected(*blocks: list[tuple[int, int]]) -> Graph:
                  tuple(map(len, adjacency)))
 
 
+def kemeny_direct(g: Graph) -> float:
+    """Kemeny's constant as the direct oracle reports it: Kf*/2E from the resistance solve."""
+    return seed_data(g).kemeny
+
+
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
 
 
 class TestDirectOraclesRejectDisconnectedGraphs:
     # Rounding leaves a tiny positive pivot rather than zero on K4 + K4 (grounded
-    # Laplacian) and C5 + C5 (normalized), so a bare Cholesky would accept them.
+    # Laplacian), so a bare Cholesky would accept it.
     @pytest.mark.parametrize("blocks", [([(0, 1)], [(0, 1)]), (K4_EDGES, K4_EDGES),
                                         (C5_EDGES, C5_EDGES)])
     @pytest.mark.parametrize("oracle", [resistance_distances, kemeny_direct])
@@ -222,8 +226,7 @@ class TestKemenyDirect:
         assert abs(Fraction(kf_star_direct(g)) - kf) <= Fraction(1e-13) * kf
 
     def test_triangle_at_depth_four(self):
-        # 123 vertices: the Schur complement has 42 and the halving triangular
-        # inverse recurses twice before its 32-row base case.
+        # 123 vertices: the Schur complement has 42 rows.
         g = iterate_triangulation(generate("complete", 3), 4)
         assert np.allclose(resistance_distances(g), pseudoinverse_resistances(g),
                            rtol=1e-12, atol=1e-12)
