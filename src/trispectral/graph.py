@@ -121,7 +121,8 @@ def _two_colouring(n: int, adjacency: Sequence[Sequence[int]]) -> list[int]:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse ``u v`` pairs (one per line, 0-based labels, ``#`` comments) into a Graph."""
+    """Parse ``u v`` pairs (one per line, 0-based labels in ASCII digits,
+    ``#`` comments) into a Graph."""
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -132,17 +133,13 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphInputError(
                 f"line {lineno}: expected two vertex labels, got {raw.strip()!r}"
             )
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise GraphInputError(
-                f"line {lineno}: non-integer vertex label in {raw.strip()!r}"
-            ) from None
-        if u < 0 or v < 0:
-            raise GraphInputError(
-                f"line {lineno}: negative vertex label in {raw.strip()!r}"
-            )
-        pairs.append((u, v))
+        u, v = tokens
+        # A label is ASCII digits: int() would also take "1_0", "+1" and other scripts' digits.
+        if not (u.isdigit() and v.isdigit() and u.isascii() and v.isascii()):
+            signed = all(t.removeprefix("-").isdigit() and t.isascii() for t in tokens)
+            fault = "negative" if signed else "non-integer"
+            raise GraphInputError(f"line {lineno}: {fault} vertex label in {raw.strip()!r}")
+        pairs.append((int(u), int(v)))
     if not pairs:
         raise GraphInputError("no edges in input")
     return Graph.from_edges(pairs)
@@ -206,12 +203,20 @@ def triangulate(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
 
 
 def iterate_triangulation(g: Graph, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
-    """Apply the triangulation operator n times (n = 0 returns the input)."""
-    final_vertices, _ = predicted_counts(g.num_vertices, g.num_edges, n)
+    """Apply the triangulation operator n times (n = 0 returns the input).
+
+    A step takes N to N + E >= 2N - 1, so N_n > 2^n: from cap's bit length on
+    no depth fits, and from 13,000 on :func:`count_text` prints about 10^k,
+    with k = floor(log10 N_n) taken from log10(e0 3^n / 2), not from 3^n."""
+    if n < max(cap.bit_length(), 13_000):
+        final_vertices, _ = predicted_counts(g.num_vertices, g.num_edges, n)
+        need = count_text(final_vertices)
+    else:
+        final_vertices = cap + 1
+        need = f"about 10^{math.floor(n * math.log10(3) + math.log10(g.num_edges / 2))}"
     if final_vertices > cap:
         raise CapExceededError(
-            f"{n} iterations need {count_text(final_vertices)} vertices, "
-            f"explicit-construction cap is {cap}"
+            f"{n} iterations need {need} vertices, explicit-construction cap is {cap}"
         )
     out = g
     for _ in range(n):

@@ -21,17 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, Context, Decimal, Inexact, Rounded, localcontext
-from fractions import Fraction
 from typing import Mapping
 
-from .graph import Graph, analyze, predicted_counts, triangulate
+from .graph import Graph, analyze, triangulate
 from .numeric import (
     eigenvalues_sym,
     kf_star_direct,
     normalized_laplacian,
     spanning_trees_matrix_tree,
 )
-from .spectra import _check_total, build_descriptor, generations, reciprocal_sum
+from .spectra import build_descriptor, generations, reciprocal_sum
 
 # Relative tolerance for the identity kf_star = 2 * E_n * kemeny.
 IDENTITY_RTOL = 1e-12
@@ -92,15 +91,13 @@ class SpanningTreeCount:
         )
         return int(estimate) + 1
 
-    def _require_digits(self, max_digits: int) -> int:
-        digits = self.digits10()
-        if digits > max_digits:
-            raise OverflowError(f"count has about {digits} digits, above the {max_digits} limit")
-        return digits
-
     def decimal(self) -> str:
         """Exact decimal string; raises OverflowError beyond DECIMAL_DIGIT_CAP."""
-        digits = self._require_digits(DECIMAL_DIGIT_CAP)
+        digits = self.digits10()
+        if digits > DECIMAL_DIGIT_CAP:
+            raise OverflowError(
+                f"count has about {digits} digits, above the {DECIMAL_DIGIT_CAP} limit"
+            )
         with localcontext(Context(prec=digits + 10, Emax=MAX_EMAX, traps=[Inexact, Rounded])):
             return str(Decimal(3) ** self.pow3 * Decimal(2) ** self.pow2 * self.seed_count)
 
@@ -134,15 +131,10 @@ def kf_star_closed(kf0: float, n0: int, e0: int, n: int) -> float:
     return 6**n * kf0 + linear * n0 * e0 + quadratic * e0 * e0
 
 
-def kf_star_recursive(prev: float, n0: int, e0: int, n: int) -> float:
-    """One recursion step from the depth-(n-1) degree-Kirchhoff index."""
-    if n < 1:
-        raise ValueError("recursion step needs n >= 1")
-    return (
-        6 * prev
-        - 2 * 3 ** (n - 1) * n0 * e0
-        + (5 * 3 ** (2 * n - 2) + 3 ** (n - 1)) * e0 * e0
-    )
+def kf_star_recursive(prev: float, n0: int, e0: int, prev_edges: int) -> float:
+    """One recursion step from the previous depth's degree-Kirchhoff index and
+    edge count E: 6 * prev - 2 * n0 * E + (5E + e0) * E."""
+    return 6 * prev - 2 * n0 * prev_edges + (5 * prev_edges + e0) * prev_edges
 
 
 def kemeny_closed(k0: float, n0: int, e0: int, n: int) -> float:
@@ -156,16 +148,14 @@ def kemeny_closed(k0: float, n0: int, e0: int, n: int) -> float:
     return 2**n * k0 + (2 * (1 - 2**n) * n0 + (5 * 3**n - 2 ** (n + 2) - 1) * e0) / 6
 
 
-def kemeny_recursive(prev: float, n0: int, e0: int, n: int) -> float:
-    """One recursion step from the depth-(n-1) Kemeny constant.
+def kemeny_recursive(prev: float, n0: int, e0: int, prev_edges: int) -> float:
+    """One recursion step from the previous depth's Kemeny constant and edge
+    count E: 2 * prev + (5E + e0)/6 - n0/3.
 
-    The step constant is (5 * 3^(n-1) + 1)/6 * e0 - n0/3; iterating from the
-    seed value matches the closed form to floating rounding.  The constant is
-    an exact integer count of sixths, divided once.
+    Iterating from the seed value matches the closed form to floating
+    rounding.  The constant is an exact integer count of sixths, divided once.
     """
-    if n < 1:
-        raise ValueError("recursion step needs n >= 1")
-    return 2 * prev + ((5 * 3 ** (n - 1) + 1) * e0 - 2 * n0) / 6
+    return 2 * prev + (5 * prev_edges + e0 - 2 * n0) / 6
 
 
 def kappa(n0: int, e0: int, n: int) -> int:
@@ -186,13 +176,10 @@ def spanning_trees_closed(nst0: int, n0: int, e0: int, n: int) -> SpanningTreeCo
 
 
 def spanning_trees_step(
-    prev: SpanningTreeCount, n0: int, e0: int, n: int
+    prev: SpanningTreeCount, n0: int, e0: int, prev_vertices: int
 ) -> SpanningTreeCount:
-    """One recursion step: multiply the depth-(n-1) count by
-    3^(N_{n-1} - 1) * 2^(N_{n-1} - 2*n0 + e0 + 1)."""
-    if n < 1:
-        raise ValueError("recursion step needs n >= 1")
-    prev_vertices, _ = predicted_counts(n0, e0, n - 1)
+    """One recursion step from the previous depth's count and vertex count N:
+    multiply by 3^(N - 1) * 2^(N - 2*n0 + e0 + 1)."""
     return SpanningTreeCount(
         prev.pow3 + prev_vertices - 1,
         prev.pow2 + prev_vertices - 2 * n0 + e0 + 1,
@@ -281,10 +268,11 @@ def verify_all(
     over the symbolic descriptor, and a direct oracle (:func:`seed_data`) on
     the materialized graph while its vertex count stays within
     ``materialize_cap``.  Floating routes must agree within ``tol`` relative;
-    spanning-tree routes must agree exactly.  The counts and the spectrum sum's
-    exact part (integer thirds) are carried along :func:`generations`, and its
-    seed part is the depth-1 value times 2^(n-1), so without the direct oracle
-    each depth costs O(1) big-integer operations.
+    spanning-tree routes must agree exactly.  The recursions step on the
+    counts carried along :func:`generations`, which also carries the spectrum
+    sum's exact part (integer thirds); its seed part is the depth-1 value times
+    2^(n-1).  So the recursion and spectrum-sum routes cost O(1) big-integer
+    operations per depth, and the closed forms cost their powers of 2, 3 and 6.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
@@ -307,13 +295,13 @@ def verify_all(
 
     for n in range(max_n + 1):
         if n > 0:
+            running = (
+                kf_star_recursive(running[0], n0, e0, edges),
+                kemeny_recursive(running[1], n0, e0, edges),
+                spanning_trees_step(running[2], n0, e0, vertices),
+            )
             vertices, edges, (three_halves, unit) = next(walk)
             thirds = 2 * thirds + 2 * three_halves + 3 * unit
-            running = (
-                kf_star_recursive(running[0], n0, e0, n),
-                kemeny_recursive(running[1], n0, e0, n),
-                spanning_trees_step(running[2], n0, e0, n),
-            )
             if materialized is not None and vertices <= materialize_cap:
                 materialized = triangulate(materialized, cap=materialize_cap)
                 oracle = seed_data(materialized)
@@ -328,12 +316,9 @@ def verify_all(
         if n < 2:
             descriptor = build_descriptor(eigenvalues, e0, bipartite, n)
             seed_part = depth_one = reciprocal_sum(descriptor)[1]
-            total = descriptor.total_multiplicity
         else:
-            total += three_halves + unit
-            _check_total(total, n0, e0, edges)
             seed_part = math.ldexp(depth_one, n - 1)
-        kemeny_spectrum = float(Fraction(thirds, 3)) + seed_part
+        kemeny_spectrum = thirds / 3 + seed_part
 
         routes: dict[str, dict[str, object]] = {
             name: {"closed_form": value, "recursion": recursion}

@@ -105,20 +105,6 @@ def eigenvalues_sym(m: SymmetricMatrix) -> EigenResult:
     return EigenResult(tuple(float(x) for x in w), residual)
 
 
-def _cholesky(a: np.ndarray, name: str, largest: float) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix whose
-    pivots are all at least _PIVOT_RTOL times ``largest``, the largest
-    diagonal entry of the matrix before any block of it was eliminated;
-    raises NumericError naming the matrix otherwise."""
-    try:
-        factor = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        factor = None
-    if factor is None or factor.diagonal().min(initial=np.inf) ** 2 < _PIVOT_RTOL * largest:
-        raise NumericError(f"the {name} is not positive definite (is the graph connected?)")
-    return factor
-
-
 def _independent_order(g: Graph, size: int) -> tuple[list[int], int]:
     """The vertices 0..size-1 with a greedy independent set of them first
     (fewest neighbours first, ties by index), then the rest in index order;
@@ -155,7 +141,14 @@ def resistance_distances(g: Graph) -> np.ndarray:
     l_io = lap[:k, k:size]
     w = l_io * d_inv[:, None]  # D_I^-1 L_IO
     schur = lap[k:size, k:size] - l_io.T @ w
-    _cholesky(schur, "grounded Laplacian", float(degrees[:size].max()))
+    # Every Cholesky pivot of S must reach _PIVOT_RTOL times the largest
+    # diagonal entry of the grounded Laplacian, before I was eliminated.
+    try:
+        pivots = np.linalg.cholesky(schur).diagonal()
+    except np.linalg.LinAlgError:
+        pivots = None
+    if pivots is None or pivots.min(initial=np.inf) ** 2 < _PIVOT_RTOL * degrees[:size].max():
+        raise NumericError("the grounded Laplacian is not positive definite (is the graph connected?)")
     # M_OO = S^-1, M_IO = -W S^-1 and M_II = D_I^-1 + W S^-1 W^T, with W = D_I^-1 L_IO.
     m = np.zeros_like(lap)
     m[k:size, k:size] = s_inv = np.linalg.inv(schur)

@@ -133,7 +133,7 @@ def generations(
     the depth-(g-1) graph, then 1s, E_{g-1} - N_{g-1} of them (plus a
     bipartite seed's dropped 2, restored at g = 1; negative only for an
     invalid seed).  Ints in, ints out; exact Decimals in, exact Decimals out.
-    The callers check the band totals, outside the walk."""
+    :func:`build_descriptor` checks the band total, outside the walk."""
     vertices, edges = n0, e0
     for g in itertools.count(1):
         unit = edges - vertices + int(g == 1 and bipartite_seed)
@@ -146,16 +146,6 @@ def generations(
         vertices += edges
         edges *= 3
         yield vertices, edges, bands
-
-
-def _check_total(total: int, n0: int, e0: int, edges: int) -> None:
-    """Check a band total against N_n = n0 + (3^n - 1)/2 * e0, with
-    3^n * e0 = E_n the carried edge count."""
-    expected = n0 + (edges - e0) // 2
-    if total != expected:
-        raise RuntimeError(
-            f"internal inconsistency: descriptor holds {total} eigenvalues, expected {expected}"
-        )
 
 
 def _seed_classes(
@@ -201,7 +191,7 @@ def build_descriptor(
 
     Cost is O(n + seed size) big-integer additions along :func:`generations`,
     with no power per generation.  The total multiplicity is checked against
-    the exact vertex count.
+    the vertex count the walk carries.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
@@ -210,8 +200,8 @@ def build_descriptor(
     n0 = len(seed_eigenvalues)
     seed = _seed_classes(seed_eigenvalues, bipartite_seed)
     bands: list[int] = []
-    edges = e0
-    for _, edges, pair in itertools.islice(generations(n0, e0, bipartite_seed), n):
+    vertices = n0
+    for vertices, _, pair in itertools.islice(generations(n0, e0, bipartite_seed), n):
         bands += pair
     descriptor = SpectrumDescriptor(
         n=n,
@@ -221,7 +211,11 @@ def build_descriptor(
         seed_eigs=seed,
         exceptional=tuple(bands),
     )
-    _check_total(descriptor.total_multiplicity, n0, e0, edges)
+    total = descriptor.total_multiplicity
+    if total != vertices:
+        raise RuntimeError(
+            f"internal inconsistency: descriptor holds {total} eigenvalues, expected {vertices}"
+        )
     return descriptor
 
 

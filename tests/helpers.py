@@ -63,7 +63,9 @@ def multiplicity_of(d: SpectrumDescriptor, value: Union[Fraction, float, int]) -
 def to_int(count: SpanningTreeCount) -> int:
     """A factored spanning-tree count as a plain int; OverflowError past
     INT_DIGIT_CAP digits."""
-    count._require_digits(INT_DIGIT_CAP)
+    digits = count.digits10()
+    if digits > INT_DIGIT_CAP:
+        raise OverflowError(f"count has about {digits} digits, above the {INT_DIGIT_CAP} limit")
     return 3**count.pow3 * 2**count.pow2 * count.seed_count
 
 

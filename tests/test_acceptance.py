@@ -246,7 +246,8 @@ def test_criterion_7_recursion_coefficient_divergence():
         n0, e0 = g.num_vertices, g.num_edges
         running = seed.kemeny
         for n in range(1, 11):
-            running = kemeny_recursive(running, n0, e0, n)
+            _, prev_edges = predicted_counts(n0, e0, n - 1)
+            running = kemeny_recursive(running, n0, e0, prev_edges)
             closed = kemeny_closed(seed.kemeny, n0, e0, n)
             if abs(running - closed) / closed > 1e-12:
                 violations.append(f"{name} n={n}: corrected recursion drifts")

@@ -1,5 +1,7 @@
 """Graph model, parsing, generators, and the triangulation operator."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -72,8 +74,11 @@ class TestParseEdgeList:
             parse_edge_list("# nothing here\n")
 
     def test_non_integer_token(self):
-        with pytest.raises(GraphInputError, match="^line 1: non-integer vertex label in '0 x'$"):
-            parse_edge_list("0 x")
+        # int() reads each of the last four as a number; a label is ASCII digits only.
+        for line in ("0 x", "0 1_0", "+0 1", "\u0661 0", "\uff11 0"):
+            message = f"^line 1: non-integer vertex label in {re.escape(repr(line))}$"
+            with pytest.raises(GraphInputError, match=message):
+                parse_edge_list(line)
 
     def test_wrong_arity(self):
         with pytest.raises(GraphInputError, match="^line 1: expected two vertex labels, got"):
@@ -160,6 +165,13 @@ class TestTriangulate:
             triangulate(generate("complete", 4), cap=9)
         with pytest.raises(CapExceededError, match="^10 iterations need 88575 vertices, "):
             iterate_triangulation(generate("complete", 3), 10, cap=1000)
+
+    def test_cap_guard_forms_no_power_of_three(self):
+        # N_n > 2^n decides the cap, and log10(3) the digit count, with no 3^n formed.
+        with pytest.raises(
+            CapExceededError, match=r"^100000000 iterations need about 10\^47712125 vertices, "
+        ):
+            iterate_triangulation(generate("complete", 3), 10**8)
 
     def test_negative_iteration_count(self):
         with pytest.raises(ValueError, match="^iteration count must be nonnegative$"):

@@ -16,7 +16,7 @@ from helpers import (
     to_int,
 )
 from trispectral import invariants, spectra
-from trispectral.graph import generate, predicted_counts, triangulate
+from trispectral.graph import analyze, generate, predicted_counts, triangulate
 from trispectral.invariants import (
     DECIMAL_DIGIT_CAP,
     InvariantReport,
@@ -32,7 +32,7 @@ from trispectral.invariants import (
     verify_all,
 )
 from trispectral.numeric import kf_star_direct, spanning_trees_matrix_tree
-from trispectral.spectra import descriptor_for, reciprocal_sum
+from trispectral.spectra import descriptor_for, generations, reciprocal_sum
 
 
 class TestKfStar:
@@ -44,8 +44,9 @@ class TestKfStar:
         assert kf_star_closed(27.0, 4, 6, 0) == 27.0
 
     def test_recursive_steps(self):
-        assert kf_star_recursive(8.0, 3, 3, 1) == pytest.approx(84.0, rel=1e-12)
-        assert kf_star_recursive(84.0, 3, 3, 2) == pytest.approx(882.0, rel=1e-12)
+        # The last argument is the previous depth's edge count: 3, then 9.
+        assert kf_star_recursive(8.0, 3, 3, 3) == pytest.approx(84.0, rel=1e-12)
+        assert kf_star_recursive(84.0, 3, 3, 9) == pytest.approx(882.0, rel=1e-12)
 
     def test_recursive_edge_seed_matches_oracle(self):
         value = kf_star_recursive(1.0, 2, 1, 1)
@@ -60,7 +61,8 @@ class TestKfStar:
             kf0 = kf_star_direct(g)
             running = kf0
             for n in range(1, 11):
-                running = kf_star_recursive(running, n0, e0, n)
+                _, prev_edges = predicted_counts(n0, e0, n - 1)
+                running = kf_star_recursive(running, n0, e0, prev_edges)
                 assert running == pytest.approx(
                     kf_star_closed(kf0, n0, e0, n), rel=1e-12
                 )
@@ -75,9 +77,10 @@ class TestKemeny:
         assert kemeny_closed(3 / 2, 3, 2, 1) == pytest.approx(4.0, rel=1e-12)
 
     def test_recursive_steps(self):
-        assert kemeny_recursive(4 / 3, 3, 3, 1) == pytest.approx(14 / 3, rel=1e-12)
-        assert kemeny_recursive(14 / 3, 3, 3, 2) == pytest.approx(49 / 3, rel=1e-12)
-        assert kemeny_recursive(3 / 2, 3, 2, 1) == pytest.approx(4.0, rel=1e-12)
+        # The last argument is the previous depth's edge count.
+        assert kemeny_recursive(4 / 3, 3, 3, 3) == pytest.approx(14 / 3, rel=1e-12)
+        assert kemeny_recursive(14 / 3, 3, 3, 9) == pytest.approx(49 / 3, rel=1e-12)
+        assert kemeny_recursive(3 / 2, 3, 2, 2) == pytest.approx(4.0, rel=1e-12)
 
     def test_literal_pow5_coefficient_diverges(self):
         # The step constant must grow like 5*3^(n-1); a 5^(n-1) coefficient
@@ -111,7 +114,8 @@ class TestKemeny:
             seen.add(closed if isinstance(closed, tuple) else "value")
             if n == 0:
                 continue
-            step = outcome(kemeny_recursive, prev, n0, e0, n)
+            _, prev_edges = predicted_counts(n0, e0, n - 1)
+            step = outcome(kemeny_recursive, prev, n0, e0, prev_edges)
             assert step == outcome(kemeny_recursive_fraction, prev, n0, e0, n), n
             if isinstance(step, str):
                 prev = float.fromhex(step)
@@ -270,7 +274,8 @@ class TestSpanningTreesClosed:
             n0, e0 = g.num_vertices, g.num_edges
             running = SpanningTreeCount(0, 0, 1)
             for n in range(1, 11):
-                running = spanning_trees_step(running, n0, e0, n)
+                prev_vertices, _ = predicted_counts(n0, e0, n - 1)
+                running = spanning_trees_step(running, n0, e0, prev_vertices)
                 assert running == spanning_trees_closed(1, n0, e0, n)
 
     @given(connected_graphs(max_vertices=7, max_extra_edges=3))
@@ -279,6 +284,64 @@ class TestSpanningTreesClosed:
         nst0 = spanning_trees_matrix_tree(g)
         closed = spanning_trees_closed(nst0, g.num_vertices, g.num_edges, 1)
         assert closed == spanning_trees_matrix_tree(triangulate(g))
+
+
+def test_recursions_on_carried_counts_match_power_forms():
+    # Each recursion steps on the previous depth's counts from `generations`;
+    # the references below rebuild those counts from powers of 3 in n.
+    # Depths 1-700 pass where Kf* (near 322) and Kemeny (near 648) overflow.
+    def kf_star_powers(prev, n0, e0, n):
+        return (
+            6 * prev
+            - 2 * 3 ** (n - 1) * n0 * e0
+            + (5 * 3 ** (2 * n - 2) + 3 ** (n - 1)) * e0 * e0
+        )
+
+    def kemeny_powers(prev, n0, e0, n):
+        return 2 * prev + ((5 * 3 ** (n - 1) + 1) * e0 - 2 * n0) / 6
+
+    def trees_powers(prev, n0, e0, n):
+        prev_vertices = n0 + (3 ** (n - 1) - 1) // 2 * e0
+        return SpanningTreeCount(
+            prev.pow3 + prev_vertices - 1,
+            prev.pow2 + prev_vertices - 2 * n0 + e0 + 1,
+            prev.seed_count,
+        )
+
+    def outcome(fn, *args):
+        """The step's value and how it compares: .hex() of a float, the fields
+        of a count, or the OverflowError message (value None)."""
+        try:
+            value = fn(*args)
+        except OverflowError as exc:
+            return None, str(exc)
+        return value, value.hex() if isinstance(value, float) else vars(value)
+
+    steps = (  # (recursion, its power form, index of its count in (N, E))
+        (kf_star_recursive, kf_star_powers, 1),
+        (kemeny_recursive, kemeny_powers, 1),
+        (spanning_trees_step, trees_powers, 0),
+    )
+    overflows = set()
+    for name, g in corpus().items():
+        n0, e0 = g.num_vertices, g.num_edges
+        seed = seed_data(g)
+        prev = [seed.kf_star, seed.kemeny, SpanningTreeCount(0, 0, seed.spanning_trees)]
+        counts = (n0, e0)
+        walk = generations(n0, e0, analyze(g).bipartite)
+        for n in range(1, 701):
+            for i, (step, reference, which) in enumerate(steps):
+                value, got = outcome(step, prev[i], n0, e0, counts[which])
+                assert got == outcome(reference, prev[i], n0, e0, n)[1], (name, n, step)
+                if value is None:
+                    overflows.add(got)
+                else:
+                    prev[i] = value
+            counts = next(walk)[:2]
+    assert overflows == {
+        "int too large to convert to float",
+        "integer division result too large for a float",
+    }
 
 
 class TestSeedData:
