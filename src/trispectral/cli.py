@@ -10,8 +10,6 @@ byte-identical across repeated runs on identical input.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -29,7 +27,7 @@ from .graph import (
     parse_edge_list,
 )
 from .invariants import VERIFY_MATERIALIZE_CAP, InvariantReport, verify_all
-from .spectra import descriptor_for, expand_descriptor
+from .spectra import _check_expansion, descriptor_for, expand_descriptor
 
 _FORMATS = ("json", "csv", "text")
 
@@ -140,11 +138,10 @@ def _json_doc(obj: object) -> str:
 def _csv_doc(
     header: Sequence[str], rows: Sequence[Sequence[object]], delimiter: str = ","
 ) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """csv.writer's output with "\\n" line ends: no field the commands print (an
+    int, a float repr, a digit string, True/False or a factored count) holds a
+    delimiter, a quote or a line break, so none is quoted and a join suffices."""
+    return "".join(delimiter.join(map(str, row)) + "\n" for row in [header, *rows])
 
 
 def _run_analyze(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
@@ -174,35 +171,40 @@ def _run_triangulate(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
     return format_edge_list(tg), 0
 
 
-# One `exceptional` element and one `expanded` element as _json_doc lays them
-# out (no string needs escaping, and json writes a float as its repr).
-_BAND_JSON = '\n    [\n      %d,\n      "%s",\n      "%s"\n    ]'
+# The text of one `exceptional` element around its values, and one `expanded` element, as
+# _json_doc lays them out (no string needs escaping; json writes a float as its repr).
+_BAND_JSON = ("\n    [\n      ", ',\n      "', '",\n      "', '"\n    ]')
 _VALUE_JSON = "\n    %r"
 
 
 def _json_with_lists(doc: dict, lists: dict[str, list[str]]) -> str:
-    """``_json_doc(doc)`` with the top-level lists in ``lists`` (key -> its
-    elements, already laid out) joined in as text."""
+    """``_json_doc(doc)`` with the top-level lists in ``lists`` (key -> pieces
+    of its elements' text, laid out and comma-separated) joined in as text."""
     rest = _json_doc({**doc, **dict.fromkeys(lists, [])})
     parts = []
     for key in sorted(lists):  # the order sort_keys writes them in
         head, _, rest = rest.partition(f'"{key}": []')
-        items = ",".join(lists[key])
-        parts += (head, f'"{key}": [', items, "\n  ]" if items else "]")
+        pieces = lists[key]
+        parts += (head, f'"{key}": [', *pieces, "\n  ]" if pieces else "]")
     parts.append(rest)
     return "".join(parts)
 
 
 def _run_spectrum(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
+    if args.expand:  # decided from the seed's counts, before any walk
+        _check_expansion(g.num_vertices, g.num_edges, args.n)
     descriptor = descriptor_for(g, args.n)
     doc = descriptor.to_json_dict()
     if args.expand:
         doc["expanded"] = expand_descriptor(descriptor)
     if args.output_format == "json":
-        # Megabytes of digits: template the lists, skip the pure-Python indent encoder.
-        lists = {"exceptional": [_BAND_JSON % tuple(band) for band in doc["exceptional"]]}
+        # Megabytes of digits: skip the indent encoder, copy each band string once.
+        start, before_label, before_count, end = _BAND_JSON
+        pieces = [piece for generation, label, count in doc["exceptional"] for piece in
+                  (",", start, str(generation), before_label, label, before_count, count, end)]
+        lists = {"exceptional": pieces[1:]}  # less the first comma
         if args.expand:
-            lists["expanded"] = [_VALUE_JSON % value for value in doc["expanded"]]
+            lists["expanded"] = [",".join([_VALUE_JSON % value for value in doc["expanded"]])]
         return _json_with_lists(doc, lists), 0
     values = [value for value, _ in descriptor.eigenvalue_classes()]
     mults = [str(m) for _, m in descriptor.effective_seed()] + [b[2] for b in doc["exceptional"]]

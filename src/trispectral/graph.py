@@ -177,10 +177,18 @@ def predicted_counts(n0: int, e0: int, n: int) -> tuple[int, int]:
     return n0 + (power - 1) // 2 * e0, power * e0
 
 
-def count_text(n: int) -> str:
-    """A count as message text: its decimal digits, or "about 10^k" past
-    13,000 bits, since str() refuses ints of more than 4,300 digits."""
-    return str(n) if n.bit_length() <= 13_000 else f"about 10^{math.floor(math.log10(n))}"
+def count_text(n0: int, e0: int, n: int, cap: int) -> str | None:
+    """Message text for N_n, the depth-n vertex count from an (n0, e0) seed, if
+    above cap, else None: its digits, or "about 10^k" past 13,000 bits (str()
+    refuses more than 4,300 digits).  N_n > 2^n, as a step takes N to N + E >=
+    2N - 1, so from cap's bit length on no depth fits, and from 13,000 on
+    k = floor(log10 N_n) comes from log10(e0 3^n / 2), with no 3^n formed."""
+    if n >= max(cap.bit_length(), 13_000):
+        return f"about 10^{math.floor(n * math.log10(3) + math.log10(e0 / 2))}"
+    count, _ = predicted_counts(n0, e0, n)
+    if count <= cap:
+        return None
+    return str(count) if count.bit_length() <= 13_000 else f"about 10^{math.floor(math.log10(count))}"
 
 
 def triangulate(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -203,18 +211,9 @@ def triangulate(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
 
 
 def iterate_triangulation(g: Graph, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
-    """Apply the triangulation operator n times (n = 0 returns the input).
-
-    A step takes N to N + E >= 2N - 1, so N_n > 2^n: from cap's bit length on
-    no depth fits, and from 13,000 on :func:`count_text` prints about 10^k,
-    with k = floor(log10 N_n) taken from log10(e0 3^n / 2), not from 3^n."""
-    if n < max(cap.bit_length(), 13_000):
-        final_vertices, _ = predicted_counts(g.num_vertices, g.num_edges, n)
-        need = count_text(final_vertices)
-    else:
-        final_vertices = cap + 1
-        need = f"about 10^{math.floor(n * math.log10(3) + math.log10(g.num_edges / 2))}"
-    if final_vertices > cap:
+    """Apply the triangulation operator n times (n = 0 returns the input)."""
+    need = count_text(g.num_vertices, g.num_edges, n, cap)
+    if need is not None:
         raise CapExceededError(
             f"{n} iterations need {need} vertices, explicit-construction cap is {cap}"
         )

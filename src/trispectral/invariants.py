@@ -92,14 +92,18 @@ class SpanningTreeCount:
         return int(estimate) + 1
 
     def decimal(self) -> str:
-        """Exact decimal string; raises OverflowError beyond DECIMAL_DIGIT_CAP."""
+        """Exact decimal string; raises OverflowError beyond DECIMAL_DIGIT_CAP.  One
+        full-size power, 6^min(pow3, pow2), as the closed form's exponents differ by
+        n(2 n0 - e0 - 2); the rest stays Decimal, as int-to-Decimal is quadratic."""
         digits = self.digits10()
         if digits > DECIMAL_DIGIT_CAP:
             raise OverflowError(
                 f"count has about {digits} digits, above the {DECIMAL_DIGIT_CAP} limit"
             )
+        low = min(self.pow3, self.pow2)
         with localcontext(Context(prec=digits + 10, Emax=MAX_EMAX, traps=[Inexact, Rounded])):
-            return str(Decimal(3) ** self.pow3 * Decimal(2) ** self.pow2 * self.seed_count)
+            leftover = Decimal(3) ** (self.pow3 - low) * Decimal(2) ** (self.pow2 - low)
+            return str(Decimal(6) ** low * (leftover * self.seed_count))
 
     def factored(self) -> str:
         return f"3^{self.pow3} * 2^{self.pow2} * {self.seed_count}"
@@ -126,9 +130,10 @@ def kf_star_closed(kf0: float, n0: int, e0: int, n: int) -> float:
         raise ValueError("depth must be nonnegative")
     if n == 0:
         return float(kf0)
-    linear = 2 * 3 ** (n - 1) - 4 * 6 ** (n - 1)
-    quadratic = 5 * 3 ** (2 * n - 1) - 8 * 6 ** (n - 1) - 3 ** (n - 1)
-    return 6**n * kf0 + linear * n0 * e0 + quadratic * e0 * e0
+    p3, p6 = 3 ** (n - 1), 6 ** (n - 1)
+    linear = 2 * p3 - 4 * p6
+    quadratic = 15 * p3 * p3 - 8 * p6 - p3  # 5 * 3^(2n-1) = 15 * (3^(n-1))^2
+    return 6 * p6 * kf0 + linear * n0 * e0 + quadratic * e0 * e0
 
 
 def kf_star_recursive(prev: float, n0: int, e0: int, prev_edges: int) -> float:
@@ -145,7 +150,8 @@ def kemeny_closed(k0: float, n0: int, e0: int, n: int) -> float:
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
-    return 2**n * k0 + (2 * (1 - 2**n) * n0 + (5 * 3**n - 2 ** (n + 2) - 1) * e0) / 6
+    p2 = 2**n
+    return p2 * k0 + (2 * (1 - p2) * n0 + (5 * 3**n - 4 * p2 - 1) * e0) / 6
 
 
 def kemeny_recursive(prev: float, n0: int, e0: int, prev_edges: int) -> float:

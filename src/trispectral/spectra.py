@@ -136,7 +136,7 @@ def generations(
     :func:`build_descriptor` checks the band total, outside the walk."""
     vertices, edges = n0, e0
     for g in itertools.count(1):
-        unit = edges - vertices + int(g == 1 and bipartite_seed)
+        unit = edges - vertices + 1 if g == 1 and bipartite_seed else edges - vertices
         if unit < 0:
             raise RuntimeError(
                 f"internal inconsistency: negative eigenvalue-1 multiplicity {unit} "
@@ -226,14 +226,17 @@ def descriptor_for(g: Graph, n: int) -> SpectrumDescriptor:
     return build_descriptor(eig.eigenvalues, g.num_edges, info.bipartite, n)
 
 
+def _check_expansion(n0: int, e0: int, n: int) -> None:
+    """Refuse a depth-n spectrum of over DEFAULT_EXPANSION_CAP values, from the counts."""
+    need = count_text(n0, e0, n, DEFAULT_EXPANSION_CAP)
+    if need is not None:
+        raise CapExceededError(f"expansion needs {need} values, cap is {DEFAULT_EXPANSION_CAP}")
+
+
 def expand_descriptor(d: SpectrumDescriptor) -> list[float]:
     """Materialize the full sorted eigenvalue multiset (at most
     DEFAULT_EXPANSION_CAP values)."""
-    total = d.total_multiplicity
-    if total > DEFAULT_EXPANSION_CAP:
-        raise CapExceededError(
-            f"expansion needs {count_text(total)} values, cap is {DEFAULT_EXPANSION_CAP}"
-        )
+    _check_expansion(d.n0, d.e0, d.n)
     values: list[float] = []
     for value, mult in d.eigenvalue_classes():
         values.extend([value] * mult)

@@ -12,8 +12,9 @@ import pytest
 import trispectral.invariants
 import trispectral.numeric
 import trispectral.spectra
+from helpers import corpus
 from trispectral.cli import main
-from trispectral.graph import parse_edge_list
+from trispectral.graph import format_edge_list, parse_edge_list
 from trispectral.spectra import descriptor_for, expand_descriptor
 
 K3 = "0 1\n1 2\n0 2\n"
@@ -118,6 +119,15 @@ class TestSpectrum:
         assert main(["spectrum", str(k3_file), "-n", "10000", "--expand"]) == 3
         err = capsys.readouterr().err
         assert "error: expansion needs about 10^4771 values, cap is 1000000\n" in err
+
+    def test_expansion_cap_decided_before_the_walk(self, k3_file, capsys):
+        # Building this descriptor would take 10^8 generations of ever larger
+        # counts; the cap is decided from the seed's counts first.
+        assert main(["spectrum", str(k3_file), "-n", "100000000", "--expand"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: expansion needs about 10^47712125 values, cap is 1000000\n"
+        )
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_classes_below_smallest_normal_exit_two(self, k3_file, capsys, fmt):
@@ -313,6 +323,32 @@ class TestErrorPaths:
             main([command, str(k3_file), flag, value])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class TestTables:
+    @pytest.mark.parametrize("name", sorted(corpus()))
+    def test_tables_equal_csv_writer(self, tmp_path, capsys, name):
+        # The tables are plain delimiter joins; that is csv.writer's output only
+        # while no field needs quoting.  A reader-writer round trip and a fixed
+        # column count per table pin that.
+        path = tmp_path / "seed.edges"
+        path.write_text(format_edge_list(corpus()[name]))
+        tables = [
+            (["analyze", "--format", "csv"], ","),
+            (["triangulate", "-n", "1", "--format", "csv"], ","),
+            (["spectrum", "-n", "3", "--format", "csv"], ","),
+            (["invariants", "-n", "12", "--format", "csv"], ","),
+            (["invariants", "-n", "12", "--format", "text"], "\t"),
+            (["verify", "--max-n", "2", "--format", "csv"], ","),
+        ]
+        for (command, *flags), delimiter in tables:
+            assert main([command, str(path), *flags]) == 0
+            out = capsys.readouterr().out
+            rows = list(csv.reader(io.StringIO(out), delimiter=delimiter))
+            assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}, command
+            buf = io.StringIO()
+            csv.writer(buf, delimiter=delimiter, lineterminator="\n").writerows(rows)
+            assert buf.getvalue() == out, command
 
 
 class TestDeterminism:

@@ -199,6 +199,17 @@ class TestSpanningTreeCount:
         (200_000, 10_000, 96),
         (207_500, 3_000, 3**4 * 2**3),
         (0, 330_000, 3**7 * 2),
+        # Equal exponents and pow2 > pow3, with seed counts divisible by 6.
+        (900, 900, 6),
+        (700, 1200, 3**2 * 2**3 * 5),
+    ]
+    # Closed-form counts (nst0, n0, e0, n): pow2 > pow3 (K5), equal exponents
+    # (K4), pow3 > pow2 (P4, Petersen) and a seed count of 3 (K3).
+    DECIMAL_CASES += [
+        tuple(vars(spanning_trees_closed(*seed_and_depth)).values())
+        for seed_and_depth in [
+            (125, 5, 10, 8), (16, 4, 6, 9), (1, 4, 3, 10), (2000, 10, 15, 7), (3, 3, 3, 9)
+        ]
     ]
 
     @pytest.fixture
@@ -288,8 +299,10 @@ class TestSpanningTreesClosed:
 
 def test_recursions_on_carried_counts_match_power_forms():
     # Each recursion steps on the previous depth's counts from `generations`;
-    # the references below rebuild those counts from powers of 3 in n.
-    # Depths 1-700 pass where Kf* (near 322) and Kemeny (near 648) overflow.
+    # the references below rebuild those counts from powers of 3 in n.  The
+    # closed forms take each power once; their references take every power
+    # as the formula writes it.  Depths 0-700 pass where Kf* (near 322) and
+    # Kemeny (near 648) overflow.
     def kf_star_powers(prev, n0, e0, n):
         return (
             6 * prev
@@ -299,6 +312,16 @@ def test_recursions_on_carried_counts_match_power_forms():
 
     def kemeny_powers(prev, n0, e0, n):
         return 2 * prev + ((5 * 3 ** (n - 1) + 1) * e0 - 2 * n0) / 6
+
+    def kf_star_closed_powers(kf0, n0, e0, n):
+        if n == 0:
+            return float(kf0)
+        linear = 2 * 3 ** (n - 1) - 4 * 6 ** (n - 1)
+        quadratic = 5 * 3 ** (2 * n - 1) - 8 * 6 ** (n - 1) - 3 ** (n - 1)
+        return 6**n * kf0 + linear * n0 * e0 + quadratic * e0 * e0
+
+    def kemeny_closed_powers(k0, n0, e0, n):
+        return 2**n * k0 + (2 * (1 - 2**n) * n0 + (5 * 3**n - 2 ** (n + 2) - 1) * e0) / 6
 
     def trees_powers(prev, n0, e0, n):
         prev_vertices = n0 + (3 ** (n - 1) - 1) // 2 * e0
@@ -329,7 +352,17 @@ def test_recursions_on_carried_counts_match_power_forms():
         prev = [seed.kf_star, seed.kemeny, SpanningTreeCount(0, 0, seed.spanning_trees)]
         counts = (n0, e0)
         walk = generations(n0, e0, analyze(g).bipartite)
-        for n in range(1, 701):
+        for n in range(701):
+            for closed, reference, value0 in (
+                (kf_star_closed, kf_star_closed_powers, seed.kf_star),
+                (kemeny_closed, kemeny_closed_powers, seed.kemeny),
+            ):
+                value, got = outcome(closed, value0, n0, e0, n)
+                assert got == outcome(reference, value0, n0, e0, n)[1], (name, n, closed)
+                if value is None:
+                    overflows.add(got)
+            if n == 0:
+                continue
             for i, (step, reference, which) in enumerate(steps):
                 value, got = outcome(step, prev[i], n0, e0, counts[which])
                 assert got == outcome(reference, prev[i], n0, e0, n)[1], (name, n, step)
