@@ -26,8 +26,8 @@ from .graph import (
     iterate_triangulation,
     parse_edge_list,
 )
-from .invariants import VERIFY_MATERIALIZE_CAP, InvariantReport, verify_all
-from .spectra import _check_expansion, descriptor_for, expand_descriptor
+from .invariants import VERIFY_MATERIALIZE_CAP, verify_all
+from .spectra import _check_classes, _check_expansion, descriptor_for, expand_descriptor
 
 _FORMATS = ("json", "csv", "text")
 
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Each command lists its options in the order --help prints them.
     def command(name: str, handler: Callable, *options: tuple, **kwargs: str) -> None:
         sp = sub.add_parser(name, **kwargs)
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(handler=handler, parser=sp)
         sp.add_argument("input", type=Path, help="edge-list file ('u v' per line)")
         for flags, spec in options:
             sp.add_argument(*flags, **spec)
@@ -102,6 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
+    if args.command == "spectrum" and args.expand and args.output_format == "csv":
+        args.parser.error("argument --expand: not allowed with --format csv")  # exits 2
     try:
         text, status = args.handler(parse_edge_list(args.input.read_text()), args)
         if args.output_path is None:
@@ -135,13 +137,13 @@ def _json_doc(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_doc(
-    header: Sequence[str], rows: Sequence[Sequence[object]], delimiter: str = ","
-) -> str:
-    """csv.writer's output with "\\n" line ends: no field the commands print (an
-    int, a float repr, a digit string, True/False or a factored count) holds a
-    delimiter, a quote or a line break, so none is quoted and a join suffices."""
-    return "".join(delimiter.join(map(str, row)) + "\n" for row in [header, *rows])
+def _csv_doc(rows: Sequence[dict], delimiter: str = ",") -> str:
+    """csv.writer's output of a header, the first row's keys, and the rows' values,
+    with "\\n" line ends: no field the commands print (an int, a float repr, a digit
+    string, True/False or a factored count) holds a delimiter, a quote or a line
+    break, so none is quoted and a join suffices."""
+    lines = [rows[0].keys(), *(row.values() for row in rows)]
+    return "".join(delimiter.join(map(str, line)) + "\n" for line in lines)
 
 
 def _run_analyze(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
@@ -157,7 +159,7 @@ def _run_analyze(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
     if args.output_format == "json":
         return _json_doc(fields), 0
     if args.output_format == "csv":
-        return _csv_doc(list(fields), [list(fields.values())]), 0
+        return _csv_doc([fields]), 0
     return "".join(f"{key}: {value}\n" for key, value in fields.items()), 0
 
 
@@ -167,7 +169,7 @@ def _run_triangulate(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
         doc = {"num_vertices": tg.num_vertices, "edges": [list(e) for e in tg.edges]}
         return _json_doc(doc), 0
     if args.output_format == "csv":
-        return _csv_doc(["u", "v"], [list(e) for e in tg.edges]), 0
+        return _csv_doc([{"u": u, "v": v} for u, v in tg.edges]), 0
     return format_edge_list(tg), 0
 
 
@@ -191,26 +193,27 @@ def _json_with_lists(doc: dict, lists: dict[str, list[str]]) -> str:
 
 
 def _run_spectrum(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
-    if args.expand:  # decided from the seed's counts, before any walk
-        _check_expansion(g.num_vertices, g.num_edges, args.n)
-    descriptor = descriptor_for(g, args.n)
-    doc = descriptor.to_json_dict()
+    # Both limits are decided from the seed, before any walk.
     if args.expand:
-        doc["expanded"] = expand_descriptor(descriptor)
+        _check_expansion(g.num_vertices, g.num_edges, args.n)
+    if args.output_format != "json":
+        _check_classes(g, args.n)
+    descriptor = descriptor_for(g, args.n)
+    expanded = expand_descriptor(descriptor) if args.expand else []
     if args.output_format == "json":
+        doc = descriptor.to_json_dict()
         # Megabytes of digits: skip the indent encoder, copy each band string once.
         start, before_label, before_count, end = _BAND_JSON
         pieces = [piece for generation, label, count in doc["exceptional"] for piece in
                   (",", start, str(generation), before_label, label, before_count, count, end)]
         lists = {"exceptional": pieces[1:]}  # less the first comma
         if args.expand:
-            lists["expanded"] = [",".join([_VALUE_JSON % value for value in doc["expanded"]])]
+            doc["expanded"] = expanded
+            lists["expanded"] = [",".join([_VALUE_JSON % value for value in expanded])]
         return _json_with_lists(doc, lists), 0
-    values = [value for value, _ in descriptor.eigenvalue_classes()]
-    mults = [str(m) for _, m in descriptor.effective_seed()] + [b[2] for b in doc["exceptional"]]
-    classes = sorted(zip(values, mults), key=lambda pair: pair[0])
+    classes = sorted(descriptor.eigenvalue_classes())
     if args.output_format == "csv":
-        return _csv_doc(["value", "multiplicity"], classes), 0
+        return _csv_doc([{"value": value, "multiplicity": mult} for value, mult in classes]), 0
     lines = [
         f"depth: {descriptor.n}",
         f"seed: {descriptor.n0} vertices, {descriptor.e0} edges, "
@@ -220,31 +223,8 @@ def _run_spectrum(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
     ]
     lines.extend(f"  {value!r} x {mult}" for value, mult in classes)
     if args.expand:
-        lines.append("expanded: " + " ".join(repr(v) for v in doc["expanded"]))
+        lines.append("expanded: " + " ".join(repr(v) for v in expanded))
     return "\n".join(lines) + "\n", 0
-
-
-_REPORT_COLUMNS = (
-    "n",
-    "num_vertices",
-    "num_edges",
-    "kf_star",
-    "kemeny",
-    "spanning_trees",
-    "kappa",
-)
-
-
-def _report_row(report: InvariantReport) -> list[object]:
-    return [
-        report.n,
-        report.num_vertices,
-        report.num_edges,
-        repr(report.kf_star),
-        repr(report.kemeny),
-        report.spanning_trees.json_value(),
-        report.kappa,
-    ]
 
 
 def _run_invariants(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
@@ -254,10 +234,13 @@ def _run_invariants(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
     status = 0 if result.passed else 1
     if args.output_format == "json":
         return _json_doc({"reports": [r.to_json_dict() for r in result.reports]}), status
-    rows = [_report_row(r) for r in result.reports]
-    if args.output_format == "csv":
-        return _csv_doc(_REPORT_COLUMNS, rows), status
-    return _csv_doc(_REPORT_COLUMNS, rows, delimiter="\t"), status
+    rows = [
+        {"n": r.n, "num_vertices": r.num_vertices, "num_edges": r.num_edges,
+         "kf_star": r.kf_star, "kemeny": r.kemeny,
+         "spanning_trees": r.spanning_trees.json_value(), "kappa": r.kappa}
+        for r in result.reports
+    ]
+    return _csv_doc(rows, delimiter="," if args.output_format == "csv" else "\t"), status
 
 
 def _run_verify(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
@@ -277,24 +260,14 @@ def _run_verify(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
         }
         return _json_doc(doc), status
     if args.output_format == "csv":
-        header = (
-            "n",
-            "kf_star_discrepancy",
-            "kemeny_discrepancy",
-            "spanning_trees_exact",
-            "identity_residual",
-        )
         rows = [
-            [
-                r.n,
-                repr(r.discrepancies["kf_star"]),
-                repr(r.discrepancies["kemeny"]),
-                r.discrepancies["spanning_trees"] == 0.0,
-                repr(r.discrepancies["kf_kemeny_identity"]),
-            ]
+            {"n": r.n, "kf_star_discrepancy": r.discrepancies["kf_star"],
+             "kemeny_discrepancy": r.discrepancies["kemeny"],
+             "spanning_trees_exact": r.discrepancies["spanning_trees"] == 0.0,
+             "identity_residual": r.discrepancies["kf_kemeny_identity"]}
             for r in result.reports
         ]
-        return _csv_doc(header, rows), status
+        return _csv_doc(rows), status
     lines = []
     for report in result.reports:
         lines.append(f"n={report.n} ({report.num_vertices} vertices):")

@@ -276,9 +276,10 @@ def verify_all(
     ``materialize_cap``.  Floating routes must agree within ``tol`` relative;
     spanning-tree routes must agree exactly.  The recursions step on the
     counts carried along :func:`generations`, which also carries the spectrum
-    sum's exact part (integer thirds); its seed part is the depth-1 value times
-    2^(n-1).  So the recursion and spectrum-sum routes cost O(1) big-integer
-    operations per depth, and the closed forms cost their powers of 2, 3 and 6.
+    sum's exact part (integer thirds).  Its seed part is taken once, at depths 0
+    and 1, before the walk, and is the depth-1 value times 2^(n-1) deeper.  So
+    the recursion and spectrum-sum routes cost O(1) big-integer operations per
+    depth, and the closed forms cost their powers of 2, 3 and 6.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
@@ -288,50 +289,43 @@ def verify_all(
     seed = seed_data(g)
     kf0, k0 = seed.kf_star, math.fsum(1.0 / x for x in eigenvalues[1:])
     n0, e0 = g.num_vertices, g.num_edges
+    bipartite = analyze(g).bipartite
+    seed_part0, seed_part1 = (
+        reciprocal_sum(build_descriptor(eigenvalues, e0, bipartite, n))[1] for n in (0, 1)
+    )
     reports: list[InvariantReport] = []
     failures: list[str] = []
 
-    names = ("kf_star", "kemeny", "spanning_trees")
-    running = (kf0, k0, SpanningTreeCount(0, 0, seed.spanning_trees))
-    materialized: Graph | None = g
-    oracle: SeedData | None = seed
-    bipartite = analyze(g).bipartite
+    kf_recursion, kemeny_recursion = kf0, k0
+    trees_recursion = SpanningTreeCount(0, 0, seed.spanning_trees)
+    materialized, oracle = g, seed
     walk = generations(n0, e0, bipartite)
     vertices, edges, thirds = n0, e0, 0
 
     for n in range(max_n + 1):
         if n > 0:
-            running = (
-                kf_star_recursive(running[0], n0, e0, edges),
-                kemeny_recursive(running[1], n0, e0, edges),
-                spanning_trees_step(running[2], n0, e0, vertices),
-            )
+            kf_recursion = kf_star_recursive(kf_recursion, n0, e0, edges)
+            kemeny_recursion = kemeny_recursive(kemeny_recursion, n0, e0, edges)
+            trees_recursion = spanning_trees_step(trees_recursion, n0, e0, vertices)
             vertices, edges, (three_halves, unit) = next(walk)
             thirds = 2 * thirds + 2 * three_halves + 3 * unit
-            if materialized is not None and vertices <= materialize_cap:
+            if vertices <= materialize_cap:  # vertices grow: past the cap, None stays
                 materialized = triangulate(materialized, cap=materialize_cap)
                 oracle = seed_data(materialized)
             else:
-                materialized = oracle = None
-        closed = (
-            kf_star_closed(kf0, n0, e0, n),
-            kemeny_closed(k0, n0, e0, n),
-            spanning_trees_closed(seed.spanning_trees, n0, e0, n),
-        )
-        kf, kemeny, trees = closed
-        if n < 2:
-            descriptor = build_descriptor(eigenvalues, e0, bipartite, n)
-            seed_part = depth_one = reciprocal_sum(descriptor)[1]
-        else:
-            seed_part = math.ldexp(depth_one, n - 1)
-        kemeny_spectrum = thirds / 3 + seed_part
+                oracle = None
+        kf = kf_star_closed(kf0, n0, e0, n)
+        kemeny = kemeny_closed(k0, n0, e0, n)
+        trees = spanning_trees_closed(seed.spanning_trees, n0, e0, n)
+        kemeny_spectrum = thirds / 3 + (seed_part0 if n == 0 else math.ldexp(seed_part1, n - 1))
 
         routes: dict[str, dict[str, object]] = {
-            name: {"closed_form": value, "recursion": recursion}
-            for name, value, recursion in zip(names, closed, running)
+            "kf_star": {"closed_form": kf, "recursion": kf_recursion,
+                        "spectrum_sum": 2 * edges * kemeny_spectrum},
+            "kemeny": {"closed_form": kemeny, "recursion": kemeny_recursion,
+                       "spectrum_sum": kemeny_spectrum},
+            "spanning_trees": {"closed_form": trees, "recursion": trees_recursion},
         }
-        routes["kf_star"]["spectrum_sum"] = 2 * edges * kemeny_spectrum
-        routes["kemeny"]["spectrum_sum"] = kemeny_spectrum
         if oracle is not None:
             for name, by_route in routes.items():
                 by_route["direct_oracle"] = getattr(oracle, name)

@@ -82,7 +82,7 @@ class SpectrumDescriptor:
         return sum(m for _, m in self.effective_seed()) + sum(self.exceptional)
 
     def eigenvalue_classes(self) -> list[tuple[float, int]]:
-        """All distinct eigenvalue classes as (value, exact multiplicity).
+        """All distinct eigenvalue classes as (value, exact multiplicity); empty bands are none.
 
         Values are scaled by powers of two, which is exact while they stay
         normal doubles; raises OverflowError once a nonzero value would fall
@@ -92,14 +92,13 @@ class SpectrumDescriptor:
         classes += [
             (float(EXCEPTIONAL_VALUES[i % 2]), mult, self.n - i // 2 - 1)
             for i, mult in enumerate(self.exceptional)
+            if mult
         ]
         out: list[tuple[float, int]] = []
         for base, mult, halvings in classes:
             value = base * 0.5**halvings
             if base != 0.0 and abs(value) < sys.float_info.min:
-                raise OverflowError(
-                    f"eigenvalue {base!r} / 2^{halvings} is below the smallest normal double"
-                )
+                raise _subnormal(base, halvings)
             out.append((value, mult))
         return out
 
@@ -231,6 +230,20 @@ def _check_expansion(n0: int, e0: int, n: int) -> None:
     need = count_text(n0, e0, n, DEFAULT_EXPANSION_CAP)
     if need is not None:
         raise CapExceededError(f"expansion needs {need} values, cap is {DEFAULT_EXPANSION_CAP}")
+
+
+def _subnormal(base: float, halvings: int) -> OverflowError:
+    return OverflowError(f"eigenvalue {base!r} / 2^{halvings} is below the smallest normal double")
+
+
+def _check_classes(g: Graph, n: int) -> None:
+    """Refuse the depth-n classes past depth 1023, where every nonzero value is subnormal
+    (a seed value, at most 2, halved n times; generation 1's 3/2 n - 1 times), from the
+    seed's spectrum: the first is its smallest nonzero class left, else that 3/2 (K2)."""
+    if n > 1023:
+        seed = descriptor_for(g, 1).effective_seed()
+        base, halvings = next(((v, n) for v, _ in seed if v), (1.5, n - 1))
+        raise _subnormal(base, halvings)
 
 
 def expand_descriptor(d: SpectrumDescriptor) -> list[float]:

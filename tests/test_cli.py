@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import gc
 import io
+import itertools
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from trispectral.cli import main
 from trispectral.graph import format_edge_list, parse_edge_list
 from trispectral.spectra import descriptor_for, expand_descriptor
 
+K2 = "0 1\n"
 K3 = "0 1\n1 2\n0 2\n"
 P3 = "0 1\n1 2\n"
 
@@ -129,13 +131,74 @@ class TestSpectrum:
             "error: expansion needs about 10^47712125 values, cap is 1000000\n"
         )
 
+    @pytest.mark.parametrize(
+        "fmt,seed,n,first",
+        [pytest.param(fmt, K3, 1100, "1.5 / 2^1100", id=fmt) for fmt in ("text", "csv")]
+        + [pytest.param(fmt, seed, n, first, id=f"{name}-{n}-{fmt}")
+           for fmt in ("text", "csv")
+           for name, seed, n, first in [
+               ("K3", K3, 1023, "1.5 / 2^1023"), ("K3", K3, 1024, "1.5 / 2^1024"),
+               ("K3", K3, 5000, "1.5 / 2^5000"), ("K2", K2, 1023, None),
+               ("K2", K2, 1024, "1.5 / 2^1023"), ("K2", K2, 1100, "1.5 / 2^1099"),
+               ("K2", K2, 5000, "1.5 / 2^4999")]],
+    )
+    def test_classes_below_smallest_normal_exit_two(self, tmp_path, capsys, fmt, seed, n, first):
+        path = tmp_path / "seed.edges"
+        path.write_text(seed)
+        code = main(["spectrum", str(path), "-n", str(n), "--format", fmt])
+        captured = capsys.readouterr()
+        if first is None:  # K2's classes are all normal doubles through depth 1023
+            assert code == 0 and captured.err == ""
+            return
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: value outside double-precision range at this depth "
+            f"(eigenvalue {first} is below the smallest normal double)\n"
+        )
+
     @pytest.mark.parametrize("fmt", ["text", "csv"])
-    def test_classes_below_smallest_normal_exit_two(self, k3_file, capsys, fmt):
-        assert main(["spectrum", str(k3_file), "-n", "1100", "--format", fmt]) == 2
+    def test_classes_limit_decided_before_the_walk(self, k3_file, capsys, monkeypatch, fmt):
+        # 10^8 generations of ever larger counts would exhaust memory; the walk
+        # is cut after 1,023 steps so that walking at all fails at once.
+        walk = trispectral.spectra.generations
+
+        def cut(*args):
+            yield from itertools.islice(walk(*args), 1023)
+            raise AssertionError("walked past depth 1023")
+
+        monkeypatch.setattr(trispectral.spectra, "generations", cut)
+        assert main(["spectrum", str(k3_file), "-n", "100000000", "--format", fmt]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "double-precision range" in captured.err
-        assert "below the smallest normal double" in captured.err
+        assert "(eigenvalue 1.5 / 2^100000000 is below the smallest normal double)" in captured.err
+
+    @pytest.mark.parametrize("name", sorted(corpus()))
+    def test_text_and_csv_classes_are_the_spectrum(self, tmp_path, capsys, name):
+        # Every listed class is an eigenvalue (multiplicity >= 1), values strictly
+        # increase, and the multiplicities add up to the vertex count N_n.
+        path = tmp_path / "seed.edges"
+        path.write_text(format_edge_list(corpus()[name]))
+        for n in range(13):
+            assert main(["spectrum", str(path), "-n", str(n), "--format", "text"]) == 0
+            head, text = capsys.readouterr().out.split("classes (value x multiplicity):\n")
+            total = int(head.split("total eigenvalues: ")[1].split("\n")[0])
+            assert main(["spectrum", str(path), "-n", str(n), "--format", "csv"]) == 0
+            rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+            listed = [line.strip().split(" x ") for line in text.splitlines()]
+            for classes in (listed, rows):
+                values = [float(value) for value, _ in classes]
+                mults = [int(mult) for _, mult in classes]
+                assert min(mults) >= 1, (name, n)
+                assert all(a < b for a, b in zip(values, values[1:])), (name, n)
+                assert sum(mults) == total, (name, n)
+
+    def test_expand_has_no_csv_form(self, k3_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", str(k3_file), "-n", "1", "--expand", "--format", "csv"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --expand: not allowed with --format csv" in captured.err
 
     def test_classes_at_smallest_normal_depth(self, k3_file, capsys):
         assert main(["spectrum", str(k3_file), "-n", "1022", "--format", "text"]) == 0
