@@ -26,7 +26,7 @@ from .graph import (
     iterate_triangulation,
     parse_edge_list,
 )
-from .invariants import VERIFY_MATERIALIZE_CAP, verify_all
+from .invariants import VERIFY_MATERIALIZE_CAP, InvariantReport, SpanningTreeCount, verify_all
 from .spectra import _check_classes, _check_expansion, descriptor_for, expand_descriptor
 
 _FORMATS = ("json", "csv", "text")
@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-validate all invariant routes for depths 0..n",
         description=(
             "Cross-validate all invariant routes for depths 0..n.  The dense "
-            "oracle routes run only at depths whose graph has at most "
-            f"min(--cap, {VERIFY_MATERIALIZE_CAP}) vertices."
+            "oracle routes run on the seed (depth 0) and at the deeper depths whose "
+            f"graph has at most min(--cap, {VERIFY_MATERIALIZE_CAP}) vertices."
         ),
     )
     return parser
@@ -105,11 +105,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "spectrum" and args.expand and args.output_format == "csv":
         args.parser.error("argument --expand: not allowed with --format csv")  # exits 2
     try:
-        text, status = args.handler(parse_edge_list(args.input.read_text()), args)
+        g = parse_edge_list(args.input.read_text(encoding="utf-8"))
+        text, status = args.handler(g, args)
         if args.output_path is None:
             sys.stdout.write(text)
         else:
-            args.output_path.write_text(text)
+            args.output_path.write_text(text, encoding="utf-8")
     except (GraphInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -173,9 +174,12 @@ def _run_triangulate(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
     return format_edge_list(tg), 0
 
 
-# The text of one `exceptional` element around its values, and one `expanded` element, as
-# _json_doc lays them out (no string needs escaping; json writes a float as its repr).
-_BAND_JSON = ("\n    [\n      ", ',\n      "', '",\n      "', '"\n    ]')
+# The text of one `exceptional` element, [generation, label, count], before its generation,
+# between it and its count (by band parity, with the label of EXCEPTIONAL_VALUES: 3/2, 1)
+# and after its count; and of one `expanded` element; as _json_doc lays them out (no string
+# needs escaping; json writes a float as its repr).
+_BAND_JSON = ("\n    [\n      ", (',\n      "3/2",\n      "', ',\n      "1",\n      "'),
+              '"\n    ]')
 _VALUE_JSON = "\n    %r"
 
 
@@ -201,11 +205,13 @@ def _run_spectrum(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
     descriptor = descriptor_for(g, args.n)
     expanded = expand_descriptor(descriptor) if args.expand else []
     if args.output_format == "json":
-        doc = descriptor.to_json_dict()
+        doc = {"n": descriptor.n, "n0": descriptor.n0, "e0": descriptor.e0,
+               "bipartite_seed": descriptor.bipartite_seed,
+               "seed_eigs": [[value, mult] for value, mult in descriptor.seed_eigs]}
         # Megabytes of digits: skip the indent encoder, copy each band string once.
-        start, before_label, before_count, end = _BAND_JSON
-        pieces = [piece for generation, label, count in doc["exceptional"] for piece in
-                  (",", start, str(generation), before_label, label, before_count, count, end)]
+        start, labels, end = _BAND_JSON
+        pieces = [piece for i, count in enumerate(descriptor.band_strings()) for piece in
+                  (",", start, str(i // 2 + 1), labels[i % 2], count, end)]
         lists = {"exceptional": pieces[1:]}  # less the first comma
         if args.expand:
             doc["expanded"] = expanded
@@ -227,19 +233,40 @@ def _run_spectrum(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
+def _report_row(r: InvariantReport) -> dict:
+    """One depth's headline values: a row of the `invariants` table."""
+    return {"n": r.n, "num_vertices": r.num_vertices, "num_edges": r.num_edges,
+            "kf_star": r.kf_star, "kemeny": r.kemeny,
+            "spanning_trees": r.spanning_trees.json_value(), "kappa": r.kappa}
+
+
+def _report_doc(r: InvariantReport) -> dict:
+    """One depth's JSON object: its row, every route's value and the discrepancies."""
+    doc = _report_row(r)
+    rendered = doc["spanning_trees"]
+
+    def route_value(value: object) -> object:
+        if isinstance(value, SpanningTreeCount):
+            # Same (pow3, pow2, seed_count): reuse; equal value may print differently.
+            return rendered if vars(value) == vars(r.spanning_trees) else value.json_value()
+        return str(value) if isinstance(value, int) else value  # an oracle's tree count
+
+    doc["routes"] = {
+        invariant: {route: route_value(v) for route, v in by_route.items()}
+        for invariant, by_route in r.routes.items()
+    }
+    doc["discrepancies"] = dict(r.discrepancies)
+    return doc
+
+
 def _run_invariants(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
     result = verify_all(g, args.n, materialize_cap=0)
     for failure in result.failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     status = 0 if result.passed else 1
     if args.output_format == "json":
-        return _json_doc({"reports": [r.to_json_dict() for r in result.reports]}), status
-    rows = [
-        {"n": r.n, "num_vertices": r.num_vertices, "num_edges": r.num_edges,
-         "kf_star": r.kf_star, "kemeny": r.kemeny,
-         "spanning_trees": r.spanning_trees.json_value(), "kappa": r.kappa}
-        for r in result.reports
-    ]
+        return _json_doc({"reports": [_report_doc(r) for r in result.reports]}), status
+    rows = [_report_row(r) for r in result.reports]
     return _csv_doc(rows, delimiter="," if args.output_format == "csv" else "\t"), status
 
 
@@ -256,7 +283,7 @@ def _run_verify(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
             "passed": result.passed,
             "tolerance": result.tolerance,
             "failures": list(result.failures),
-            "reports": [r.to_json_dict() for r in result.reports],
+            "reports": [_report_doc(r) for r in result.reports],
         }
         return _json_doc(doc), status
     if args.output_format == "csv":

@@ -226,33 +226,6 @@ class InvariantReport:
     routes: Mapping[str, Mapping[str, object]]
     discrepancies: Mapping[str, float]
 
-    def to_json_dict(self) -> dict:
-        trees = self.spanning_trees
-        rendered = trees.json_value()
-
-        def route_value(value: object) -> object:
-            if isinstance(value, SpanningTreeCount):
-                # Same (pow3, pow2, seed_count): reuse; equal value may print differently.
-                return rendered if vars(value) == vars(trees) else value.json_value()
-            if isinstance(value, int):
-                return str(value)
-            return value
-
-        return {
-            "n": self.n,
-            "num_vertices": self.num_vertices,
-            "num_edges": self.num_edges,
-            "kf_star": self.kf_star,
-            "kemeny": self.kemeny,
-            "spanning_trees": rendered,
-            "kappa": self.kappa,
-            "routes": {
-                invariant: {route: route_value(v) for route, v in by_route.items()}
-                for invariant, by_route in self.routes.items()
-            },
-            "discrepancies": dict(self.discrepancies),
-        }
-
 
 @dataclass(frozen=True)
 class VerificationResult:

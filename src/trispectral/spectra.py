@@ -37,9 +37,8 @@ ZERO_CLAMP = 1e-9  # seed eigenvalues this close to 0 are the kernel value
 TWO_CLAMP = 1e-6  # bipartite seeds: the top eigenvalue this close to 2 is the dropped 2
 SEED_MATCH_TOL = 1e-9
 
-# The two values every generation injects, in band order, and their labels.
+# The two values every generation injects, in band order.
 EXCEPTIONAL_VALUES = (Fraction(3, 2), Fraction(1))
-_EXCEPTIONAL_LABELS = ("3/2", "1")
 
 
 @dataclass(frozen=True)
@@ -102,22 +101,9 @@ class SpectrumDescriptor:
             out.append((value, mult))
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "n0": self.n0,
-            "e0": self.e0,
-            "bipartite_seed": self.bipartite_seed,
-            "seed_eigs": [[value, mult] for value, mult in self.seed_eigs],
-            "exceptional": [
-                [i // 2 + 1, _EXCEPTIONAL_LABELS[i % 2], mult]
-                for i, mult in enumerate(self._band_multiplicity_strings())
-            ],
-        }
-
-    def _band_multiplicity_strings(self) -> list[str]:
-        """``str(count)`` for every band count, from :func:`generations` walked
-        over exact decimals: linear in the digits, where int-to-str is quadratic."""
+    def band_strings(self) -> list[str]:
+        """``str(count)`` for every band count, in band order, from :func:`generations`
+        walked over exact decimals: linear in the digits, where int-to-str is quadratic."""
         with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])):
             walk = generations(Decimal(self.n0), Decimal(self.e0), self.bipartite_seed)
             return [str(count) for _, _, bands in itertools.islice(walk, self.n) for count in bands]

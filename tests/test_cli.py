@@ -6,10 +6,15 @@ import gc
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trispectral
 import trispectral.invariants
 import trispectral.numeric
 import trispectral.spectra
@@ -81,6 +86,14 @@ class TestTriangulate:
         assert out.startswith("# 6 vertices, 9 edges\n")
         assert len(out.strip().splitlines()) == 10
 
+    def test_json_equals_edge_list(self, k3_file, capsys):
+        assert main(["triangulate", str(k3_file), "-n", "2"]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert main(["triangulate", str(k3_file), "-n", "2", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert header == f"# {doc['num_vertices']} vertices, {len(doc['edges'])} edges"
+        assert doc["edges"] == [[int(label) for label in line.split()] for line in lines]
+
     def test_cap_exceeded_exit_code(self, k3_file, capsys):
         assert main(["triangulate", str(k3_file), "-n", "6", "--cap", "100"]) == 3
         err = capsys.readouterr().err
@@ -108,6 +121,12 @@ class TestSpectrum:
         doc = json.loads(capsys.readouterr().out)
         assert doc["expanded"] == [0.0, 0.75, 0.75, 1.5, 1.5, 1.5]
         assert [1, "3/2", "3"] in doc["exceptional"]
+
+    def test_expanded_text(self, p3_file, capsys):
+        assert main(["spectrum", str(p3_file), "-n", "2", "--expand", "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        expanded = expand_descriptor(descriptor_for(parse_edge_list(P3), 2))
+        assert lines[-1] == "expanded: " + " ".join(repr(value) for value in expanded)
 
     def test_symbolic_depth_beyond_any_cap(self, k3_file, capsys):
         assert main(["spectrum", str(k3_file), "-n", "40"]) == 0
@@ -221,10 +240,13 @@ class TestSpectrum:
         path = tmp_path / "seed.edges"
         path.write_text(seed)
         d = descriptor_for(parse_edge_list(seed), n)
-        doc = d.to_json_dict()
-        doc["exceptional"] = [
-            [i // 2 + 1, ("3/2", "1")[i % 2], str(mult)] for i, mult in enumerate(d.exceptional)
-        ]
+        doc = {
+            "n": d.n, "n0": d.n0, "e0": d.e0, "bipartite_seed": d.bipartite_seed,
+            "seed_eigs": [[value, mult] for value, mult in d.seed_eigs],
+            "exceptional": [
+                [i // 2 + 1, ("3/2", "1")[i % 2], str(mult)] for i, mult in enumerate(d.exceptional)
+            ],
+        }
         if expand:
             doc["expanded"] = expand_descriptor(d)
         argv = ["spectrum", str(path), "-n", str(n)] + (["--expand"] if expand else [])
@@ -281,12 +303,35 @@ class TestInvariants:
         assert all(line.startswith("FAIL: n=") and "kemeny routes disagree" in line
                    for line in fails)
 
-
 class TestVerify:
     def test_pass_exit_zero(self, p3_file, capsys):
         assert main(["verify", str(p3_file), "--max-n", "2", "--tol", "1e-8"]) == 0
         out = capsys.readouterr().out
         assert out.rstrip().endswith("PASS")
+
+    def test_json(self, k3_file, capsys):
+        # Depths 1 and 2 (6 and 15 vertices) fit the cap, depth 3 (42) does
+        # not; depth 0 is the seed's own oracle values.
+        assert main(["verify", str(k3_file), "--max-n", "3", "--cap", "20",
+                     "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"passed", "tolerance", "failures", "reports"}
+        assert (doc["passed"], doc["tolerance"], doc["failures"]) == (True, 1e-8, [])
+        reports = doc["reports"]
+        assert [report["n"] for report in reports] == [0, 1, 2, 3]
+        for report in reports:
+            routes = report["routes"]
+            assert set(routes) == {"kf_star", "kemeny", "spanning_trees"}
+            assert all(("direct_oracle" in by_route) == (report["n"] < 3)
+                       for by_route in routes.values())
+        assert reports[2]["routes"]["spanning_trees"]["direct_oracle"] == "209952"
+
+    def test_json_failure(self, k3_file, capsys):
+        argv = ["verify", str(k3_file), "--tol", "1e-18", "--format", "json"]
+        assert main(argv) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is False and doc["tolerance"] == 1e-18
+        assert doc["failures"] and all(f.startswith("n=") for f in doc["failures"])
 
     def test_failure_exit_one(self, p3_file, capsys):
         assert main(["verify", str(p3_file), "--max-n", "1", "--tol", "1e-18"]) == 1
@@ -353,6 +398,26 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "can't decode byte 0xff" in captured.err
+
+    def test_input_is_utf8_in_any_locale(self, tmp_path):
+        # Under the C locale without UTF-8 mode, the locale's encoding is ASCII.
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": str(Path(trispectral.__file__).parents[1])}
+        good = tmp_path / "k3.edges"
+        good.write_text("# Pétersen-free triangle\n" + K3, encoding="utf-8")
+        bad = tmp_path / "bad.edges"
+        bad.write_bytes(b"\xff\xfe0 1\n")
+
+        def analyze(path):
+            argv = [sys.executable, "-m", "trispectral.cli", "analyze", str(path)]
+            return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+
+        ok = analyze(good)
+        assert (ok.returncode, ok.stderr) == (0, "")
+        assert ok.stdout.startswith("n_vertices: 3\n")
+        failed = analyze(bad)
+        assert (failed.returncode, failed.stdout) == (2, "")
+        assert failed.stderr.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
 
     def test_non_utf8_input_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "bad.edges"

@@ -1,5 +1,6 @@
 """Closed forms, recursions, factored spanning-tree counts, and verify_all."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -16,9 +17,17 @@ from helpers import (
     to_int,
 )
 from trispectral import invariants, spectra
-from trispectral.graph import analyze, generate, predicted_counts, triangulate
+from trispectral.cli import _report_doc, main
+from trispectral.graph import (
+    analyze,
+    format_edge_list,
+    generate,
+    predicted_counts,
+    triangulate,
+)
 from trispectral.invariants import (
     DECIMAL_DIGIT_CAP,
+    IDENTITY_RTOL,
     InvariantReport,
     SpanningTreeCount,
     kappa,
@@ -422,9 +431,49 @@ class TestVerifyAll:
         assert not result.passed
         assert result.failures
 
+    @staticmethod
+    def _k3_failures(tmp_path, capsys):
+        """verify_all's failures on K3 through depth 2 without oracles; `invariants`
+        must exit 1 and print each to stderr."""
+        result = verify_all(generate("complete", 3), 2, materialize_cap=0)
+        assert not result.passed
+        path = tmp_path / "k3.edges"
+        path.write_text(format_edge_list(generate("complete", 3)))
+        assert main(["invariants", str(path), "-n", "2"]) == 1
+        assert capsys.readouterr().err == "".join(f"FAIL: {f}\n" for f in result.failures)
+        return result
+
+    def test_inexact_tree_route_fails(self, tmp_path, capsys, monkeypatch):
+        # The recursion's count gains a factor 3 per step.
+        step = invariants.spanning_trees_step
+        monkeypatch.setattr(invariants, "spanning_trees_step", lambda *a: dataclasses.replace(
+            step(*a), pow3=step(*a).pow3 + 1))
+        result = self._k3_failures(tmp_path, capsys)
+        assert [r.discrepancies["spanning_trees"] for r in result.reports] == [0.0, math.inf,
+                                                                               math.inf]
+        assert result.failures == (
+            "n=1: spanning-tree routes are not exactly equal (closed_form=54, recursion=162)",
+            "n=2: spanning-tree routes are not exactly equal "
+            "(closed_form=209952, recursion=1889568)",
+        )
+
+    def test_identity_residual_over_bound_fails(self, tmp_path, capsys, monkeypatch):
+        # A seed Kf* off by 1e-9 relative: every route agrees within tol, but
+        # Kf* = 2E * Kemeny fails at each depth by more than IDENTITY_RTOL.
+        direct = invariants.seed_data
+        monkeypatch.setattr(invariants, "seed_data", lambda g: dataclasses.replace(
+            direct(g), kf_star=direct(g).kf_star * (1 + 1e-9)))
+        result = self._k3_failures(tmp_path, capsys)
+        residuals = [r.discrepancies["kf_kemeny_identity"] for r in result.reports]
+        assert all(IDENTITY_RTOL < residual < 1e-8 for residual in residuals)
+        assert result.failures == tuple(
+            f"n={n}: kf_star vs 2*E_n*kemeny identity residual {residual:.3e} > 1.0e-12"
+            for n, residual in enumerate(residuals)
+        )
+
     def test_report_json_uses_decimal_strings(self):
         result = verify_all(generate("complete", 3), 2, tol=1e-8)
-        doc = result.reports[2].to_json_dict()
+        doc = _report_doc(result.reports[2])
         assert doc["spanning_trees"] == "209952"
         assert doc["routes"]["spanning_trees"]["direct_oracle"] == "209952"
         json.dumps(doc)  # must be serializable as-is
@@ -439,7 +488,7 @@ class TestVerifyAll:
 
         monkeypatch.setattr(SpanningTreeCount, "json_value", counted)
         for report in verify_all(generate("petersen", 10), 30, materialize_cap=0).reports:
-            doc = report.to_json_dict()
+            doc = _report_doc(report)
             assert len(rendered) == 1
             rendered.clear()
             for route in ("closed_form", "recursion"):
@@ -457,7 +506,7 @@ class TestVerifyAll:
             routes={"spanning_trees": {"closed_form": headline, "recursion": other}},
             discrepancies={},
         )
-        doc = report.to_json_dict()
+        doc = _report_doc(report)
         assert doc["spanning_trees"] == "3^300000 * 2^0 * 3"
         assert doc["routes"]["spanning_trees"] == {
             "closed_form": "3^300000 * 2^0 * 3",

@@ -1,5 +1,6 @@
 """Symbolic spectrum descriptors: construction, expansion, reciprocal sums."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -14,9 +15,11 @@ from helpers import (
     new_unit_multiplicity,
     reciprocal_sum_fraction,
 )
+from trispectral.cli import main
 from trispectral.graph import (
     CapExceededError,
     analyze,
+    format_edge_list,
     generate,
     iterate_triangulation,
     predicted_counts,
@@ -221,19 +224,17 @@ class TestMultiplicityOf:
 
 
 class TestSerialization:
-    def test_json_schema(self):
-        d = descriptor_for(generate("complete", 3), 1)
-        doc = d.to_json_dict()
+    def test_json_schema(self, tmp_path, capsys):
+        path = tmp_path / "k3.edges"
+        path.write_text(format_edge_list(generate("complete", 3)))
+        assert main(["spectrum", str(path), "-n", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert doc["n"] == 1
         assert doc["n0"] == 3
         assert doc["e0"] == 3
         assert doc["bipartite_seed"] is False
         assert [1, "3/2", "3"] in doc["exceptional"]
         assert [1, "1", "0"] in doc["exceptional"]
-
-
-def _band_strings(d):
-    return [mult for _, _, mult in d.to_json_dict()["exceptional"]]
 
 
 class TestBandMultiplicityStrings:
@@ -245,13 +246,13 @@ class TestBandMultiplicityStrings:
         bipartite = descriptor_for(g, 0).bipartite_seed
         for n in [*range(301), 2000]:
             d = build_descriptor(eig, g.num_edges, bipartite, n)
-            assert _band_strings(d) == [str(mult) for mult in d.exceptional]
+            assert d.band_strings() == [str(mult) for mult in d.exceptional]
 
     @given(connected_graphs(max_vertices=9, max_extra_edges=5), st.integers(0, 300))
     @settings(max_examples=30)
     def test_equal_int_rendering_property(self, g, n):
         d = descriptor_for(g, n)
-        assert _band_strings(d) == [str(mult) for mult in d.exceptional]
+        assert d.band_strings() == [str(mult) for mult in d.exceptional]
 
     @pytest.mark.parametrize("name", sorted(corpus()))
     def test_carried_bands_equal_closed_form(self, name):
