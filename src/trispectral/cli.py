@@ -105,7 +105,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "spectrum" and args.expand and args.output_format == "csv":
         args.parser.error("argument --expand: not allowed with --format csv")  # exits 2
     try:
-        g = parse_edge_list(args.input.read_text(encoding="utf-8"))
+        g = parse_edge_list(args.input.read_text(encoding="utf-8-sig"))
         text, status = args.handler(g, args)
         if args.output_path is None:
             sys.stdout.write(text)
@@ -150,8 +150,8 @@ def _csv_doc(rows: Sequence[dict], delimiter: str = ",") -> str:
 def _run_analyze(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
     info = analyze(g)
     fields = {
-        "n_vertices": info.n_vertices,
-        "n_edges": info.n_edges,
+        "n_vertices": g.num_vertices,
+        "n_edges": g.num_edges,
         "connected": True,  # from_edges rejects disconnected input
         "bipartite": info.bipartite,
         "min_degree": info.min_degree,
@@ -214,7 +214,6 @@ def _run_spectrum(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
                   (",", start, str(i // 2 + 1), labels[i % 2], count, end)]
         lists = {"exceptional": pieces[1:]}  # less the first comma
         if args.expand:
-            doc["expanded"] = expanded
             lists["expanded"] = [",".join([_VALUE_JSON % value for value in expanded])]
         return _json_with_lists(doc, lists), 0
     classes = sorted(descriptor.eigenvalue_classes())
@@ -234,21 +233,21 @@ def _run_spectrum(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _report_row(r: InvariantReport) -> dict:
-    """One depth's headline values: a row of the `invariants` table."""
+    """One depth's headline values, its closed-form routes: a row of the `invariants` table."""
+    closed = {name: by_route["closed_form"] for name, by_route in r.routes.items()}
     return {"n": r.n, "num_vertices": r.num_vertices, "num_edges": r.num_edges,
-            "kf_star": r.kf_star, "kemeny": r.kemeny,
-            "spanning_trees": r.spanning_trees.json_value(), "kappa": r.kappa}
+            "kf_star": closed["kf_star"], "kemeny": closed["kemeny"],
+            "spanning_trees": closed["spanning_trees"].json_value(), "kappa": r.kappa}
 
 
 def _report_doc(r: InvariantReport) -> dict:
     """One depth's JSON object: its row, every route's value and the discrepancies."""
     doc = _report_row(r)
-    rendered = doc["spanning_trees"]
+    headline, rendered = r.routes["spanning_trees"]["closed_form"], doc["spanning_trees"]
 
     def route_value(value: object) -> object:
         if isinstance(value, SpanningTreeCount):
-            # Same (pow3, pow2, seed_count): reuse; equal value may print differently.
-            return rendered if vars(value) == vars(r.spanning_trees) else value.json_value()
+            return rendered if value == headline else value.json_value()
         return str(value) if isinstance(value, int) else value  # an oracle's tree count
 
     doc["routes"] = {
@@ -281,7 +280,7 @@ def _run_verify(g: Graph, args: argparse.Namespace) -> tuple[str, int]:
     if args.output_format == "json":
         doc = {
             "passed": result.passed,
-            "tolerance": result.tolerance,
+            "tolerance": args.tolerance,
             "failures": list(result.failures),
             "reports": [_report_doc(r) for r in result.reports],
         }

@@ -96,10 +96,9 @@ class Graph:
 
 @dataclass(frozen=True)
 class GraphAnalysis:
-    """Structural report: counts, degree range, and combinatorial bipartiteness."""
+    """Structural report beyond the graph's own vertex and edge counts: degree
+    range and combinatorial bipartiteness."""
 
-    n_vertices: int
-    n_edges: int
     bipartite: bool
     min_degree: int
     max_degree: int
@@ -157,8 +156,6 @@ def analyze(g: Graph) -> GraphAnalysis:
     BFS colour, never decided numerically."""
     colour = _two_colouring(g.num_vertices, g.adjacency)
     return GraphAnalysis(
-        n_vertices=g.num_vertices,
-        n_edges=g.num_edges,
         bipartite=all(colour[u] != colour[v] for u, v in g.edges),
         min_degree=min(g.degrees),
         max_degree=max(g.degrees),

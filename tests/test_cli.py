@@ -419,6 +419,20 @@ class TestErrorPaths:
         assert (failed.returncode, failed.stdout) == (2, "")
         assert failed.stderr.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        plain, marked = tmp_path / "k3.edges", tmp_path / "bom.edges"
+        plain.write_text(K3, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + K3.encode())
+        assert main(["analyze", str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert main(["analyze", str(marked)]) == 0
+        assert capsys.readouterr() == expected
+        # A UTF-16 mark is not UTF-8: still a decode error naming the file.
+        marked.write_bytes(b"\xff\xfe0 1\n")
+        assert main(["analyze", str(marked)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {marked}: 'utf-8' codec can't decode byte 0xff")
+
     def test_non_utf8_input_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "bad.edges"
         path.write_bytes(b"0 1\n\xff 2\n")

@@ -181,15 +181,28 @@ class TestKappa:
             kappa(3, 3, -1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: kf_star_closed(8.0, 3, 3, -1), "^depth must be nonnegative$"),
+    (lambda: kemeny_closed(2.0, 3, 3, -1), "^depth must be nonnegative$"),
+    (lambda: SpanningTreeCount(-1, 0, 1), "^exponents must be nonnegative$"),
+], ids=["kf_star_closed-depth", "kemeny_closed-depth", "SpanningTreeCount-exponent"])
+def test_rejects_invalid_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestSpanningTreeCount:
     def test_equality_normalizes_factors(self):
-        assert SpanningTreeCount(2, 1, 3) == 54
-        assert SpanningTreeCount(2, 1, 3) == SpanningTreeCount(0, 0, 54)
-        assert SpanningTreeCount(2, 1, 3) != 55
+        # Equality compares the factors, not the value; int() gives the value.
+        assert SpanningTreeCount(2, 1, 3) == SpanningTreeCount(2, 1, 3)
+        assert SpanningTreeCount(2, 1, 3) != SpanningTreeCount(0, 0, 54)
+        assert int(SpanningTreeCount(2, 1, 3)) == int(SpanningTreeCount(0, 0, 54)) == 54
+        assert SpanningTreeCount(0, 0, 54) != 54  # never equal to a plain int
         assert SpanningTreeCount(2, 1, 3) != 0
 
     def test_hash_consistent_with_eq(self):
-        assert hash(SpanningTreeCount(2, 1, 3)) == hash(SpanningTreeCount(0, 0, 54))
+        assert hash(SpanningTreeCount(2, 1, 3)) == hash(SpanningTreeCount(2, 1, 3))
+        assert len({SpanningTreeCount(2, 1, 3), SpanningTreeCount(0, 0, 54)}) == 2
         assert repr(SpanningTreeCount(2, 1, 3)) == "SpanningTreeCount(pow3=2, pow2=1, seed_count=3)"
 
     def test_decimal_and_str(self):
@@ -261,14 +274,14 @@ class TestSpanningTreeCount:
 
 class TestSpanningTreesClosed:
     def test_triangle_values(self):
-        assert spanning_trees_closed(3, 3, 3, 1) == 54
-        assert spanning_trees_closed(3, 3, 3, 2) == 209952
+        assert to_int(spanning_trees_closed(3, 3, 3, 1)) == 54
+        assert to_int(spanning_trees_closed(3, 3, 3, 2)) == 209952
 
     def test_path_seed(self):
-        assert spanning_trees_closed(1, 3, 2, 1) == 9
+        assert to_int(spanning_trees_closed(1, 3, 2, 1)) == 9
 
     def test_depth_zero(self):
-        assert spanning_trees_closed(2000, 10, 15, 0) == 2000
+        assert to_int(spanning_trees_closed(2000, 10, 15, 0)) == 2000
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="^seed spanning-tree count must be >= 1$"):
@@ -303,7 +316,7 @@ class TestSpanningTreesClosed:
     def test_depth_one_matches_matrix_tree(self, g):
         nst0 = spanning_trees_matrix_tree(g)
         closed = spanning_trees_closed(nst0, g.num_vertices, g.num_edges, 1)
-        assert closed == spanning_trees_matrix_tree(triangulate(g))
+        assert to_int(closed) == spanning_trees_matrix_tree(triangulate(g))
 
 
 def test_recursions_on_carried_counts_match_power_forms():
@@ -401,6 +414,23 @@ class TestSeedData:
 
 
 class TestVerifyAll:
+    def test_tree_routes_must_agree_factor_for_factor(self, monkeypatch):
+        # The recursion keeps the count's value but moves the seed's factor 3
+        # into pow3: the routes then disagree, as no route is normalized.
+        def moved(prev, n0, e0, prev_vertices):
+            step = spanning_trees_step(prev, n0, e0, prev_vertices)
+            return SpanningTreeCount(step.pow3 + 1, step.pow2, step.seed_count // 3)
+
+        monkeypatch.setattr(invariants, "spanning_trees_step", moved)
+        result = verify_all(generate("complete", 3), 1, materialize_cap=0)
+        trees = result.reports[1].routes["spanning_trees"]
+        assert int(trees["recursion"]) == int(trees["closed_form"]) == 54
+        assert not result.passed
+        assert result.reports[1].discrepancies["spanning_trees"] == math.inf
+        assert result.failures == (
+            "n=1: spanning-tree routes are not exactly equal "
+            "(closed_form=54, recursion=54)",)
+
     def test_triangle_passes(self):
         result = verify_all(generate("complete", 3), 2, tol=1e-8)
         assert result.passed
@@ -413,7 +443,7 @@ class TestVerifyAll:
         result = verify_all(generate("path", 3), 2, tol=1e-8)
         assert result.passed
         trees = result.reports[1].routes["spanning_trees"]
-        assert trees["closed_form"] == 9
+        assert to_int(trees["closed_form"]) == 9
         assert trees["direct_oracle"] == 9
 
     def test_petersen_passes(self):
@@ -499,11 +529,11 @@ class TestVerifyAll:
         # its own factored form.
         headline = SpanningTreeCount(300_000, 0, 3)
         other = SpanningTreeCount(299_999, 0, 9)
-        assert headline == other
+        assert int(headline) == int(other)
         report = InvariantReport(
-            n=1, num_vertices=1, num_edges=1, kf_star=1.0, kemeny=1.0,
-            spanning_trees=headline, kappa=1,
-            routes={"spanning_trees": {"closed_form": headline, "recursion": other}},
+            n=1, num_vertices=1, num_edges=1, kappa=1,
+            routes={"kf_star": {"closed_form": 1.0}, "kemeny": {"closed_form": 1.0},
+                    "spanning_trees": {"closed_form": headline, "recursion": other}},
             discrepancies={},
         )
         doc = _report_doc(report)

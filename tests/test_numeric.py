@@ -40,6 +40,10 @@ class TestMatrices:
         with pytest.raises(ValueError):
             SymmetricMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_symmetric_matrix_rejects_non_square(self):
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            SymmetricMatrix(np.zeros((2, 3)))
+
     def test_normalized_laplacian_k2(self):
         m = normalized_laplacian(generate("complete", 2))
         assert np.array_equal(m.entries, np.array([[1.0, -1.0], [-1.0, 1.0]]))

@@ -76,6 +76,17 @@ class TestBuildDescriptor:
         dense = eigenvalues_sym(normalized_laplacian(g))
         assert expand_descriptor(d) == pytest.approx(dense.eigenvalues, abs=1e-10)
 
+    @pytest.mark.parametrize("seed, e0, bipartite, n, message", [
+        ([0.0, 1.5, 1.5], 3, False, -1, "^depth must be nonnegative$"),
+        ([0.0, 1.5, 1.5], 0, False, 1, "^seed needs at least one edge$"),
+        ([0.0], 1, False, 1, "^seed spectrum needs at least 2 eigenvalues$"),
+        ([0.0, 0.0, 1.5], 3, False, 1, "near-zero eigenvalue .*, found 2$"),
+        ([0.0, 1.0, 1.5], 2, True, 1, "^bipartite seed must carry eigenvalue 2, top value is 1.5$"),
+    ], ids=["negative-depth", "no-edge", "one-value", "two-zeros", "bipartite-without-2"])
+    def test_rejects_invalid_arguments(self, seed, e0, bipartite, n, message):
+        with pytest.raises(ValueError, match=message):
+            build_descriptor(seed, e0, bipartite, n)
+
     def test_inconsistent_seed_rejected(self):
         # 5 "eigenvalues" but a single edge: no connected graph looks like this.
         with pytest.raises(RuntimeError):
